@@ -4,6 +4,11 @@ Exit codes: 0 when the checked property holds (or the command just computes),
 2 when a property is false (not extremal, no witness, nonzero defect), and 1
 for usage or input errors.  Reports are deterministic: same input and flags,
 same bytes.
+
+Each command builds its report once, as ordered rows ``(key, value)`` that
+`_emit` renders as ``key: value`` lines or as JSON keyed by the row key with
+``-`` read as ``_``.  Rows with a non-generic text form carry their text lines
+third (``[]``: JSON only); `_text_only` rows stay out of the JSON.
 """
 
 from __future__ import annotations
@@ -51,71 +56,66 @@ class RunConfig:
     format: str = "text"
 
 
-def _set_str(mask: int) -> str:
-    elems = elements_of_mask(mask)
-    return ",".join(str(e) for e in elems) if elems else "-"
+def _text(value) -> str:
+    """The text-report form of a row value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value) or "-"
+    if isinstance(value, dict):
+        return json.dumps(value)
+    return str(value)
 
 
-def _emit(lines: list[tuple[str, object]], obj: dict, fmt: str) -> str:
+def _text_only(key: str, value) -> tuple:
+    return None, None, [f"{key}: {_text(value)}"]
+
+
+def _emit(rows: list[tuple], fmt: str) -> str:
     if fmt == "structured":
+        obj = {key.replace("-", "_"): value for key, value, *_ in rows if key is not None}
         return json.dumps(obj, indent=2) + "\n"
     out = []
-    for key, value in lines:
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        out.append(f"{key}: {value}")
+    for key, value, *text in rows:
+        out += text[0] if text else [f"{key}: {_text(value)}"]
     return "\n".join(out) + "\n"
 
 
 def _read_input(config: RunConfig, stdin) -> str:
-    if config.input_path:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    if stdin is None:
-        stdin = sys.stdin
-    return stdin.read()
+    try:
+        if config.input_path:
+            with open(config.input_path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        return (stdin or sys.stdin).read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
 
 
 def _cmd_check(config, text):
     fam = parse_family(text)
     shattered = fam.shattered_sets()
-    vc = None if not fam.masks else max(s.bit_count() for s in shattered)
     extremal = len(shattered) == len(fam)
-    down, up = fam.is_down_set(), fam.is_up_set()
-    lines = [
+    return (OK if extremal else PROPERTY_FALSE), [
         ("n", fam.n),
         ("family-size", len(fam)),
         ("shattered-size", len(shattered)),
-        ("vc-dimension", "none" if vc is None else vc),
-        ("down-set", down),
-        ("up-set", up),
+        ("vc-dimension", max((s.bit_count() for s in shattered), default=None)),
+        ("down-set", fam.is_down_set()),
+        ("up-set", fam.is_up_set()),
         ("s-extremal", extremal),
     ]
-    obj = {
-        "n": fam.n,
-        "family_size": len(fam),
-        "shattered_size": len(shattered),
-        "vc_dimension": vc,
-        "down_set": down,
-        "up_set": up,
-        "s_extremal": extremal,
-    }
-    return (OK if extremal else PROPERTY_FALSE), _emit(lines, obj, config.format)
 
 
 def _cmd_decompose(config, text):
-    fam = parse_family(text)
-    try:
-        system = decompose(fam)
-    except (NotExtremal, FullFamily) as exc:
-        return PROPERTY_FALSE, f"error: {exc}\n"
+    system = decompose(parse_family(text))
     # the interchange encoding doubles as the text report
     return OK, json.dumps(system_to_object(system), indent=2) + "\n"
 
 
 def _cmd_construct(config, text):
-    system = parse_system(text)
-    fam = system.family()
+    fam = parse_system(text).family()
     if config.format == "structured":
         return OK, json.dumps(family_to_object(fam), indent=2) + "\n"
     return OK, format_family_text(fam)
@@ -123,83 +123,54 @@ def _cmd_construct(config, text):
 
 def _cmd_balance(config, text):
     system = parse_system(text)
-    partial = extremality_defect_by_size(system)
+    partial = list(extremality_defect_by_size(system))
     defect = sum(partial)
-    lines = [("n", system.n), ("members", len(system.members)), ("defect", defect)]
-    lines += [(f"partial[{k}]", v) for k, v in enumerate(partial, start=1)]
-    obj = {
-        "n": system.n,
-        "members": len(system.members),
-        "defect": defect,
-        "partial_sums": list(partial),
-    }
-    return (OK if defect == 0 else PROPERTY_FALSE), _emit(lines, obj, config.format)
+    return (OK if defect == 0 else PROPERTY_FALSE), [
+        ("n", system.n),
+        ("members", len(system.members)),
+        ("defect", defect),
+        ("partial-sums", partial, [f"partial[{k}]: {v}" for k, v in enumerate(partial, start=1)]),
+    ]
 
 
 def _cmd_graph(config, text):
     system = parse_system(text)
     graph = intersection_graph(system)
-    kind = classify_graph(graph)
-    edges = graph.edges()
-    lines = [
+    edges = [[i + 1, j + 1] for i, j in graph.edges()]
+    degrees = [graph.degree(i) for i in range(graph.size)]
+    return OK, [
         ("n", system.n),
         ("vertices", graph.size),
-        ("edges", "; ".join(f"{i + 1}-{j + 1}" for i, j in edges) or "none"),
-        ("degree-sequence", ",".join(str(graph.degree(i)) for i in range(graph.size)) or "-"),
-        ("classification", kind.value),
+        ("edges", edges, ["edges: " + ("; ".join(f"{i}-{j}" for i, j in edges) or "none")]),
+        ("degrees", degrees, [f"degree-sequence: {_text(degrees)}"]),
+        ("classification", classify_graph(graph).value),
     ]
-    obj = {
-        "n": system.n,
-        "vertices": graph.size,
-        "edges": [[i + 1, j + 1] for i, j in edges],
-        "degrees": [graph.degree(i) for i in range(graph.size)],
-        "classification": kind.value,
-    }
-    return OK, _emit(lines, obj, config.format)
 
 
 def _cmd_augment(config, text):
-    system = parse_system(text)
-    try:
-        certificate = augment(system)
-    except NotExtremal as exc:
-        return PROPERTY_FALSE, f"error: {exc}\n"
+    certificate = augment(parse_system(text))
     if certificate is None:
-        lines = [("witness", "none")]
-        return PROPERTY_FALSE, _emit(lines, {"witness": None}, config.format)
-    obj = certificate_to_object(certificate)
-    lines = [
-        ("chosen-member", _set_str(certificate.chosen_member)),
-        ("added-set", _set_str(certificate.added_set)),
-        ("successor", json.dumps(system_to_object(certificate.successor))),
-        ("augmented-family", json.dumps(family_to_object(certificate.augmented_family))),
-        ("family-size", len(certificate.augmented_family)),
-        ("s-extremal", True),
+        return PROPERTY_FALSE, [("witness", None)]
+    rows = [(key.replace("_", "-"), value)
+            for key, value in certificate_to_object(certificate).items()]
+    return OK, rows + [
+        _text_only("family-size", len(certificate.augmented_family)),
+        _text_only("s-extremal", True),
     ]
-    return OK, _emit(lines, obj, config.format)
 
 
 def _cmd_peel(config, text):
     fam = parse_family(text)
-    try:
-        removed = peel(fam)
-    except NotExtremal as exc:
-        return PROPERTY_FALSE, f"error: {exc}\n"
+    removed = peel(fam)
     if removed is None:
-        return PROPERTY_FALSE, _emit([("witness", "none")], {"witness": None}, config.format)
+        return PROPERTY_FALSE, [("witness", None)]
     remaining = fam.without_member(removed)
-    lines = [
-        ("removed-set", _set_str(removed)),
-        ("remaining-family", json.dumps(family_to_object(remaining))),
-        ("family-size", len(remaining)),
+    return OK, [
+        ("removed-set", list(elements_of_mask(removed))),
+        ("remaining-family", family_to_object(remaining)),
+        _text_only("family-size", len(remaining)),
         ("s-extremal", True),
     ]
-    obj = {
-        "removed_set": list(elements_of_mask(removed)),
-        "remaining_family": family_to_object(remaining),
-        "s_extremal": True,
-    }
-    return OK, _emit(lines, obj, config.format)
 
 
 def _cmd_groebner(config, text):
@@ -210,13 +181,12 @@ def _cmd_groebner(config, text):
             + ",".join(str(v + 1) for v in config.order))
     order = LexOrder(config.order) if config.order else LexOrder.standard(system.n)
     report = extremality_groebner_report(system, order)
-    gens = system_generators(system)
-    lines = [
+    gens = [format_polynomial(g, order) for g in system_generators(system)]
+    good = report.counting_equal and report.groebner and report.rank_full and report.equivalence_holds
+    return (OK if good else PROPERTY_FALSE), [
         ("n", system.n),
-        ("order", ",".join(str(v + 1) for v in order.priority) or "-"),
-    ]
-    lines += [("generator", format_polynomial(g, order)) for g in gens]
-    lines += [
+        ("order", [v + 1 for v in order.priority]),
+        ("generators", gens, [f"generator: {g}" for g in gens]),
         ("family-size", report.family_size),
         ("down-set-size", report.down_set_size),
         ("counting-equal", report.counting_equal),
@@ -226,73 +196,56 @@ def _cmd_groebner(config, text):
         ("rank-full", report.rank_full),
         ("equivalence-holds", report.equivalence_holds),
     ]
-    obj = {
-        "n": system.n,
-        "order": [v + 1 for v in order.priority],
-        "generators": [format_polynomial(g, order) for g in gens],
-        "family_size": report.family_size,
-        "down_set_size": report.down_set_size,
-        "counting_equal": report.counting_equal,
-        "groebner_basis": report.groebner,
-        "standard_monomials": report.standard_monomials,
-        "evaluation_rank": report.evaluation_rank,
-        "rank_full": report.rank_full,
-        "equivalence_holds": report.equivalence_holds,
-    }
-    good = report.counting_equal and report.groebner and report.rank_full and report.equivalence_holds
-    return (OK if good else PROPERTY_FALSE), _emit(lines, obj, config.format)
 
 
-def _cmd_audit(config, _text):
+def _cmd_audit(config, _input):
     if config.n is None:
         raise ParseError("audit requires --n")
+    if config.count is not None and config.seed is None:
+        raise ParseError("--seed is required with --count")
     report = audit_conjecture(config.n, samples=config.count, seed=config.seed)
-    lines = [
+    seed = "-" if report.seed is None else report.seed
+    return (OK if report.ok else PROPERTY_FALSE), [
         ("n", report.n),
         ("mode", report.mode),
-        ("seed", "-" if report.seed is None else report.seed),
+        ("seed", report.seed, [f"seed: {seed}"]),
         ("families-examined", report.families_examined),
         ("s-extremal-families", report.extremal_families),
         ("brute-failures", report.brute_failures),
         ("missing-witness", report.missing_witness),
         ("machinery-failures", report.machinery_failures),
         ("disagreements", report.disagreements),
+        ("counterexamples", [list(m) for m in report.counterexamples], []),
         ("ok", report.ok),
     ]
-    obj = {
-        "n": report.n,
-        "mode": report.mode,
-        "seed": report.seed,
-        "families_examined": report.families_examined,
-        "s_extremal_families": report.extremal_families,
-        "brute_failures": report.brute_failures,
-        "missing_witness": report.missing_witness,
-        "machinery_failures": report.machinery_failures,
-        "disagreements": report.disagreements,
-        "counterexamples": [list(m) for m in report.counterexamples],
-        "ok": report.ok,
-    }
-    return (OK if report.ok else PROPERTY_FALSE), _emit(lines, obj, config.format)
 
 
+# name -> (handler, reads input, help text)
 _COMMANDS = {
-    "check": (_cmd_check, True),
-    "decompose": (_cmd_decompose, True),
-    "construct": (_cmd_construct, True),
-    "balance": (_cmd_balance, True),
-    "graph": (_cmd_graph, True),
-    "augment": (_cmd_augment, True),
-    "peel": (_cmd_peel, True),
-    "groebner": (_cmd_groebner, True),
-    "audit": (_cmd_audit, False),
+    "check": (_cmd_check, True,
+              "report trace/shattering statistics and extremality of a family"),
+    "decompose": (_cmd_decompose, True, "emit the canonical system of an extremal family"),
+    "construct": (_cmd_construct, True, "materialize the family of a system"),
+    "balance": (_cmd_balance, True, "inclusion-exclusion defect of a system"),
+    "graph": (_cmd_graph, True, "intersection graph and its classification"),
+    "augment": (_cmd_augment, True, "run one verified extension step on a system"),
+    "peel": (_cmd_peel, True, "remove one set from an extremal family, keeping extremality"),
+    "groebner": (_cmd_groebner, True,
+                 "three-way extremality report (counting, basis test, point rank)"),
+    "audit": (_cmd_audit, False,
+              "sweep families and compare brute force with the extension step"),
 }
 
 
 def run(config: RunConfig, stdin=None) -> tuple[int, str]:
     """Dispatch one command; returns (exit code, report text)."""
-    handler, needs_input = _COMMANDS[config.command]
-    text = _read_input(config, stdin) if needs_input else ""
-    return handler(config, text)
+    handler, reads_input, _ = _COMMANDS[config.command]
+    text = _read_input(config, stdin) if reads_input else ""
+    try:
+        code, report = handler(config, text)
+    except (NotExtremal, FullFamily) as exc:
+        return PROPERTY_FALSE, f"error: {exc}\n"
+    return code, report if isinstance(report, str) else _emit(report, config.format)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,18 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shatterlab",
                      description="Construct, verify, and search shattering-extremal set systems.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "check": "report trace/shattering statistics and extremality of a family",
-        "decompose": "emit the canonical system of an extremal family",
-        "construct": "materialize the family of a system",
-        "balance": "inclusion-exclusion defect of a system",
-        "graph": "intersection graph and its classification",
-        "augment": "run one verified extension step on a system",
-        "peel": "remove one set from an extremal family, keeping extremality",
-        "groebner": "three-way extremality report (counting, basis test, point rank)",
-        "audit": "sweep families and compare brute force with the extension step",
-    }
-    for name, help_text in specs.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", dest="input_path", default=None,
                        help="input file (default: standard input)")
@@ -335,43 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    order = None
-    if getattr(args, "order", None):
-        try:
-            order = tuple(int(v) - 1 for v in args.order.split(","))
-        except ValueError:
-            raise ParseError(f"bad --order {args.order!r}") from None
-    return RunConfig(
-        command=args.command,
-        input_path=args.input_path if hasattr(args, "input_path") else None,
-        n=getattr(args, "n", None),
-        seed=getattr(args, "seed", None),
-        count=getattr(args, "count", None),
-        order=order,
-        format=args.format,
-    )
+    # every parser destination is a RunConfig field; --order arrives as text
+    config = RunConfig(**vars(args))
+    try:
+        config.order = tuple(int(v) - 1 for v in config.order.split(",")) if config.order else None
+    except ValueError:
+        raise ParseError(f"bad --order {args.order!r}") from None
+    return config
 
 
 def main(argv=None, stdin=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        config = _config_from_args(args)
-        if config.command == "audit" and config.count is not None and config.seed is None:
-            print("error: --seed is required with --count", file=sys.stderr)
-            return USAGE_ERROR
-        code, report = run(config, stdin=stdin)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ShatterlabError as exc:
+        code, report = run(_config_from_args(args), stdin=stdin)
+    except (ShatterlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     stdout.write(report)

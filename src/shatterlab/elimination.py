@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInput, NotAntichain, NotExtremal, TooLarge, VerificationFailed, WitnessNotEligible
+from .errors import (EmptyInput, NotAntichain, NotExtremal, ShatterlabError, TooLarge,
+                     VerificationFailed, WitnessNotEligible)
 from .families import SetFamily, check_ground, full_mask
 from .sperner import Cube, SpernerSystem, decompose
 from .sampling import SplitMix64, random_family
@@ -275,6 +276,8 @@ def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None
     else:
         if seed is None:
             raise EmptyInput("random audit mode requires a seed")
+        if samples < 0:
+            raise ShatterlabError(f"sample count must be non-negative, got {samples}")
         mode = "random"
         rng = SplitMix64(seed)
         family_iter = (random_family(rng, n) for _ in range(samples))

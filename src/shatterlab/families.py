@@ -48,14 +48,12 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
 
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask` in ascending integer order."""
-    subs = []
-    sub = mask
+    sub = 0
     while True:
-        subs.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return iter(reversed(subs))
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def is_antichain(masks: Iterable[int]) -> bool:

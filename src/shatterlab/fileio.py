@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError, ShatterlabError
-from .families import SetFamily, elements_of_mask, mask_from_elements
+from .families import SetFamily, check_ground, elements_of_mask
 from .sperner import SpernerSystem
 
 
@@ -32,11 +32,9 @@ def parse_family_text(text: str) -> SetFamily:
             if key.strip() != "n" or not eq:
                 raise ParseError("expected header n=<int> before any set line", lineno)
             try:
-                n = int(value.strip())
+                n = _ground(int(value.strip()), lineno)
             except ValueError:
                 raise ParseError(f"bad ground set size {value.strip()!r}", lineno) from None
-            if not 0 <= n:
-                raise ParseError(f"ground set size {n} is negative", lineno)
             continue
         mask = _parse_set_line(line, n, lineno)
         if mask in seen:
@@ -45,10 +43,7 @@ def parse_family_text(text: str) -> SetFamily:
         masks.append(mask)
     if n is None:
         raise ParseError("missing header line n=<int>")
-    try:
-        return SetFamily.of(n, masks)
-    except ShatterlabError as exc:
-        raise ParseError(str(exc)) from None
+    return SetFamily.of(n, masks)
 
 
 def _parse_set_line(line: str, n: int, lineno: int) -> int:
@@ -58,15 +53,52 @@ def _parse_set_line(line: str, n: int, lineno: int) -> int:
     for piece in line.split(","):
         piece = piece.strip()
         try:
-            e = int(piece)
+            elements.append(int(piece))
         except ValueError:
             raise ParseError(f"bad element {piece!r}", lineno) from None
+    return _set_mask(elements, n, lineno)
+
+
+# -- validation shared by the text and JSON encodings ------------------------------
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ground(n: int, line=None) -> int:
+    try:
+        check_ground(n)
+    except ShatterlabError as exc:
+        raise ParseError(str(exc), line) from None
+    return n
+
+
+def _set_mask(elements, n: int, line=None) -> int:
+    """Mask of one set given as 1-based elements: non-bool ints in [1, n], no repeats."""
+    if not isinstance(elements, list):
+        raise ParseError(f"a set must be an array of elements, got {elements!r}", line)
+    mask = 0
+    for e in elements:
+        if not _is_int(e):
+            raise ParseError(f"bad element {e!r}", line)
         if not 1 <= e <= n:
-            raise ParseError(f"element {e} outside ground set [{n}]", lineno)
-        if e in elements:
-            raise ParseError(f"repeated element {e}", lineno)
-        elements.append(e)
-    return mask_from_elements(elements, n)
+            raise ParseError(f"element {e} outside ground set [{n}]", line)
+        if mask >> (e - 1) & 1:
+            raise ParseError(f"repeated element {e}", line)
+        mask |= 1 << (e - 1)
+    return mask
+
+
+def _object_fields(obj, kind: str, field: str) -> tuple[int, list]:
+    """The ground set size and the `field` array of a family or system object."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{kind} object must be a JSON object")
+    if "n" not in obj or field not in obj:
+        raise ParseError(f"{kind} object needs fields 'n' and '{field}'")
+    n, items = obj["n"], obj[field]
+    if not _is_int(n) or not isinstance(items, list):
+        raise ParseError(f"'n' must be an integer and '{field}' an array")
+    return _ground(n), items
 
 
 def format_family_text(fam: SetFamily) -> str:
@@ -82,18 +114,11 @@ def family_to_object(fam: SetFamily) -> dict:
 
 
 def family_from_object(obj) -> SetFamily:
-    if not isinstance(obj, dict):
-        raise ParseError("family object must be a JSON object")
-    if "n" not in obj or "sets" not in obj:
-        raise ParseError("family object needs fields 'n' and 'sets'")
-    n = obj["n"]
-    sets = obj["sets"]
-    if not isinstance(n, int) or not isinstance(sets, list):
-        raise ParseError("'n' must be an integer and 'sets' an array")
-    try:
-        return SetFamily.from_sets(n, sets)
-    except ShatterlabError as exc:
-        raise ParseError(str(exc)) from None
+    n, sets = _object_fields(obj, "family", "sets")
+    masks = [_set_mask(s, n) for s in sets]
+    if len(set(masks)) != len(masks):
+        raise ParseError("duplicate sets in family")
+    return SetFamily(n, tuple(sorted(masks)))
 
 
 def parse_family(text: str) -> SetFamily:
@@ -117,24 +142,15 @@ def system_to_object(system: SpernerSystem) -> dict:
 
 
 def system_from_object(obj) -> SpernerSystem:
-    if not isinstance(obj, dict):
-        raise ParseError("system object must be a JSON object")
-    if "n" not in obj or "members" not in obj:
-        raise ParseError("system object needs fields 'n' and 'members'")
-    n = obj["n"]
-    members = obj["members"]
-    if not isinstance(n, int) or not isinstance(members, list):
-        raise ParseError("'n' must be an integer and 'members' an array")
+    n, members = _object_fields(obj, "system", "members")
     pairs = []
     for k, entry in enumerate(members):
         if not isinstance(entry, dict) or "S" not in entry or "H" not in entry:
             raise ParseError(f"member {k} needs fields 'S' and 'H'")
         try:
-            s = mask_from_elements(entry["S"], n)
-            h = mask_from_elements(entry["H"], n)
-        except ShatterlabError as exc:
+            pairs.append((_set_mask(entry["S"], n), _set_mask(entry["H"], n)))
+        except ParseError as exc:
             raise ParseError(f"member {k}: {exc}") from None
-        pairs.append((s, h))
     try:
         return SpernerSystem.of(n, pairs)
     except ShatterlabError as exc:
@@ -159,7 +175,7 @@ def certificate_to_object(cert) -> dict:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
 
 

@@ -202,7 +202,13 @@ class Fp:
 
 
 def to_prime_field(poly: Polynomial, p: int) -> Polynomial:
-    return poly.map_coefficients(lambda c: Fp(p, int(c) % p))
+    """The image mod p of a rational polynomial; fails when p divides a denominator."""
+    def image(c) -> Fp:
+        c = Fraction(c)
+        if c.denominator % p == 0:
+            raise ShatterlabError(f"coefficient {c} has no image modulo {p}")
+        return Fp(p, c.numerator % p) / c.denominator
+    return poly.map_coefficients(image)
 
 
 # -- generators ---------------------------------------------------------------

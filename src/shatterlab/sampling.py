@@ -9,6 +9,8 @@ patterns are supports cut by fresh random masks.
 
 from __future__ import annotations
 
+from .families import SetFamily
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -58,12 +60,8 @@ def random_family(rng: SplitMix64, n: int) -> tuple[int, ...]:
 def random_antichain(rng: SplitMix64, n: int, max_members: int) -> tuple[int, ...]:
     """Minimal elements of 1..max_members uniform masks (ascending, deduplicated)."""
     count = 1 + rng.below(max_members)
-    drawn = sorted({random_mask(rng, n) for _ in range(count)})
-    mins: list[int] = []
-    for m in drawn:
-        if not any(g & m == g for g in mins):
-            mins.append(m)
-    return tuple(mins)
+    drawn = [random_mask(rng, n) for _ in range(count)]
+    return SetFamily.of(n, drawn).minimal_elements().masks
 
 
 def random_system(rng: SplitMix64, n: int, max_members: int):

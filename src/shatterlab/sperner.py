@@ -20,7 +20,7 @@ from .errors import (
     PatternNotInSupport,
     ShatterlabError,
 )
-from .families import SetFamily, check_ground, full_mask, submasks
+from .families import SetFamily, check_ground, full_mask, is_antichain, submasks
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,8 @@ class SpernerSystem:
             if s <= prev:
                 raise NotAntichain("members must be strictly ascending by support mask")
             prev = s
-        supports = [s for s, _ in self.members]
-        for i, a in enumerate(supports):
-            for b in supports[i + 1:]:
-                if a & b == a or a & b == b:
-                    raise NotAntichain(f"supports {a} and {b} are comparable")
+        if not is_antichain(self.supports()):
+            raise NotAntichain("supports are not an antichain")
 
     @classmethod
     def of(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SpernerSystem":

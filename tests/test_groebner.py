@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import helpers
 from shatterlab import (
+    Fp,
     InfiniteStaircase,
     LexOrder,
     Polynomial,
     SetFamily,
+    ShatterlabError,
     SpernerSystem,
     TooLarge,
     ZeroPolynomial,
@@ -198,6 +200,13 @@ class TestGroebnerBasis:
         rational = is_groebner_basis(basis, order)
         modular = is_groebner_basis([to_prime_field(g, 101) for g in basis], order)
         assert rational == modular
+
+    def test_prime_field_keeps_rational_coefficients(self):
+        half = Polynomial(1, {(1,): Fraction(1, 2), (0,): Fraction(-3)})
+        # 1/2 is the inverse of 2 mod 7, i.e. 4; -3 is 4 as well
+        assert to_prime_field(half, 7).terms == {(1,): Fp(7, 4), (0,): Fp(7, 4)}
+        with pytest.raises(ShatterlabError, match="no image modulo 2"):
+            to_prime_field(half, 2)
 
 
 class TestStandardMonomials:

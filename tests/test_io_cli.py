@@ -1,11 +1,14 @@
 """Tests for the file formats and the command-line front end."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shatterlab import ParseError, SetFamily
 from shatterlab.cli import RunConfig, main, run
@@ -60,6 +63,24 @@ class TestFamilyText:
     def test_parse_errors(self, bad, match):
         with pytest.raises(ParseError, match=match):
             parse_family_text(bad)
+
+    @pytest.mark.parametrize("parse, payload, match", [
+        (parse_family, {"n": True, "sets": []}, "'n' must be an integer"),
+        (parse_family, {"n": 2, "sets": [[1.5]]}, "bad element 1.5"),
+        (parse_family, {"n": 2, "sets": [1]}, "must be an array"),
+        (parse_family, {"n": 2, "sets": [[True]]}, "bad element True"),
+        (parse_family, {"n": 2, "sets": [[2, 2]]}, "repeated element 2"),
+        (parse_family, {"n": 25, "sets": []}, "outside"),
+        (parse_system, {"n": 2, "members": [{"S": [1, 1], "H": []}]}, "repeated element 1"),
+        (parse_system, {"n": 2, "members": [{"S": 5, "H": []}]}, "must be an array"),
+        (parse_system, {"n": 2, "members": [{"S": [1], "H": ["1"]}]}, "bad element '1'"),
+    ])
+    def test_json_parse_errors(self, parse, payload, match):
+        # JSON elements obey the rules of the text format's set lines
+        with pytest.raises(ParseError, match=match):
+            parse(json.dumps(payload))
+        assert run_cli(["check" if parse is parse_family else "construct"],
+                       json.dumps(payload))[0] == 1
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -240,9 +261,32 @@ class TestCli:
         code, _ = run_cli(["check"], "n=2\n9\n")
         assert code == 1
 
+    @pytest.mark.parametrize("payload", [
+        '{"n": ' + "9" * 5000 + ', "sets": []}',   # beyond int's digit limit
+        '{"n": ' + "[" * 100000,                   # beyond the decoder's recursion limit
+    ])
+    def test_undecodable_json_exits_1(self, payload):
+        assert run_cli(["check"], payload) == (1, "")
+
     def test_missing_file_exits_1(self):
         code, _ = run_cli(["check", "--input", "/nonexistent/family.txt"])
         assert code == 1
+
+    def test_directory_input_exits_1(self, tmp_path, capsys):
+        code, report = run_cli(["check", "--input", str(tmp_path)])
+        assert (code, report) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_undecodable_input_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "fam.txt"
+        path.write_bytes(b"n=2\n\xff\n")
+        assert run_cli(["check", "--input", str(path)]) == (1, "")
+        assert capsys.readouterr().err.startswith("error: input is not UTF-8")
+
+    def test_audit_negative_count_exits_1(self, capsys):
+        assert run_cli(["audit", "--n", "3", "--count", "-5", "--seed", "1"]) == (1, "")
+        assert "non-negative" in capsys.readouterr().err
 
     def test_usage_error_exits_1(self):
         assert run_cli(["definitely-not-a-command"])[0] == 1
@@ -259,3 +303,48 @@ class TestCli:
             input=EX_TEXT, capture_output=True, text=True)
         assert proc.returncode == 0
         assert "s-extremal: true" in proc.stdout
+
+
+# -- fuzzing: every run ends in exit 0, 1 or 2, never in a traceback --------------
+
+def _small_ground(text):
+    """False when the text format's header would ask for n > 6 (slow, not wrong)."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            try:
+                return key.strip() != "n" or int(value) <= 6
+            except ValueError:
+                return True
+    return True
+
+
+_LEAVES = st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "sets", "members", "S", "H"]), inner, max_size=5),
+    max_leaves=16)
+_ELEMENTS = st.lists(st.integers(0, 7) | _LEAVES, max_size=4) | _LEAVES
+_GROUND = st.integers(-1, 6) | _LEAVES
+_SHAPED = (
+    st.fixed_dictionaries({"n": _GROUND, "sets": st.lists(_ELEMENTS, max_size=5)})
+    | st.fixed_dictionaries({"n": _GROUND, "members": st.lists(
+        st.fixed_dictionaries({"S": _ELEMENTS, "H": _ELEMENTS}) | _JSON_VALUES, max_size=4)}))
+_TEXT_FAMILIES = st.builds("n={}\n{}".format, st.integers(-1, 6),
+                           st.text(alphabet="0123456789,-# \n", max_size=30))
+PAYLOADS = (st.text(max_size=60).filter(_small_ground) | _TEXT_FAMILIES
+            | st.builds(json.dumps, _JSON_VALUES | _SHAPED))
+
+
+@given(st.sampled_from(["check", "construct", "balance", "graph", "decompose"]),
+       st.sampled_from(["text", "structured"]), PAYLOADS)
+def test_fuzz_main_exits_cleanly(command, fmt, payload):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, report = run_cli([command, "--format", fmt], payload)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert report == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
