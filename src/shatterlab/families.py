@@ -8,7 +8,9 @@ integer order (the canonical order used for equality and serialization).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import ShatterlabError
@@ -54,6 +56,19 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+@cache
+def _bit_clear_positions(n: int) -> tuple[int, ...]:
+    """For each bit x < n, the 2^n-bit integer whose set bits are the masks without x."""
+    out = []
+    for x in range(n):
+        pattern, width = (1 << (1 << x)) - 1, 2 << x
+        while width < 1 << n:
+            pattern |= pattern << width
+            width <<= 1
+        out.append(pattern)
+    return tuple(out)
 
 
 def is_antichain(masks: Iterable[int]) -> bool:
@@ -112,7 +127,8 @@ class SetFamily:
         return iter(self.masks)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self.masks
+        i = bisect_left(self.masks, mask)
+        return i < len(self.masks) and self.masks[i] == mask
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as 1-based element tuples, canonical order."""
@@ -145,31 +161,48 @@ class SetFamily:
     def shattered_sets(self) -> "SetFamily":
         """All sets shattered by the family (a down-set).
 
-        Candidates are visited in ascending mask order, so every subset of s
-        is decided before s; a candidate is skipped when some immediate
-        subset already failed (shattered sets are subset-closed).
+        The family is one 2^n-bit integer, bit m set iff m is a member; the
+        trace F|S is the same kind of bitset with every position inside S.
+        Projecting element x out is one fold, P | P >> 2^x, kept to the
+        positions whose bit x is clear, and S is shattered iff its bitset
+        has 2^|S| bits.  Subsets are walked depth first from [n] down,
+        removing elements in increasing order, so each subset is reached
+        once and a node's subtree is every set between it and its fixed
+        part (its elements below the next one to remove).  A shattered node
+        shatters its whole subtree (shattered sets are subset-closed): the
+        subtree is emitted without further folds.  A child is not folded
+        when its fixed part alone needs more traces than the node has,
+        since a projection never has more traces than its parent.  Children
+        are folded only when visited, so at most n + 1 bitsets are alive
+        at once: O(n 2^n) bits.
         Empty family shatters nothing, by convention.
         """
-        masks = self.masks
-        if not masks:
+        if not self.masks:
             return SetFamily.empty(self.n)
-        size = len(masks)
-        shattered = {0}
-        for s in range(1, 1 << self.n):
-            rest = s
-            closed = True
-            while rest:
-                low = rest & -rest
-                if (s ^ low) not in shattered:
-                    closed = False
-                    break
-                rest ^= low
-            if not closed:
-                continue
-            want = 1 << s.bit_count()
-            if size >= want and len({m & s for m in masks}) == want:
-                shattered.add(s)
-        return SetFamily(self.n, tuple(sorted(shattered)))
+        n = self.n
+        clear = _bit_clear_positions(n)
+        members = bytearray(((1 << n) + 7) >> 3)
+        for m in self.masks:
+            members[m >> 3] |= 1 << (m & 7)
+        out: list[int] = []
+
+        def walk(s: int, traces: int, first: int, fixed: int) -> None:
+            # fixed: the elements of s below `first`, in every set of the subtree
+            count = traces.bit_count()
+            if count == 1 << s.bit_count():
+                out.extend(fixed | sub for sub in submasks(s ^ fixed))
+                return
+            for x in range(first, n):
+                bit = 1 << x
+                if s & bit:
+                    if count < 1 << fixed.bit_count():
+                        return
+                    walk(s ^ bit, (traces | traces >> bit) & clear[x], x + 1, fixed)
+                    fixed |= bit
+
+        walk(full_mask(n), int.from_bytes(members, "little"), 0, 0)
+        out.sort()
+        return SetFamily(n, tuple(out))
 
     def vc_dimension(self) -> int | None:
         """Size of the largest shattered set; None for the empty family."""

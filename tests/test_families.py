@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 
 import helpers
-from shatterlab import SetFamily, ShatterlabError, SplitMix64, random_family
+from shatterlab import SetFamily, ShatterlabError, SplitMix64, SpernerSystem, random_family
+from shatterlab.elimination import _definitional_is_extremal
 
 # the running 4-member example over [3]: {3}, {1,2}, {2,3}, {1,2,3}
 EX_FAMILY = SetFamily.from_sets(3, [[3], [1, 2], [2, 3], [1, 2, 3]])
@@ -202,6 +203,52 @@ class TestRandomSweeps:
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
             fam = SetFamily(n, masks)
             assert fam.is_s_extremal() == fam.complement().is_s_extremal()
+
+
+class TestShatteredSetsAgainstOracles:
+    """The shattered-set kernel against the definitional oracles."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_every_family_exhaustive(self, n):
+        for bits in range(1 << (1 << n)):
+            masks = tuple(m for m in range(1 << n) if bits >> m & 1)
+            got = SetFamily(n, masks).shattered_sets().masks
+            assert got == tuple(sorted(helpers.brute_shattered(masks, n)))
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_extremal_families_complements_and_edits(self, n):
+        # Anchored systems give extremal families whose shattered sets reach
+        # deep into the cube, so whole subtrees are emitted at once; their
+        # complements shatter only small sets.  Adding or removing one
+        # member gives families next to extremal ones.
+        rng = SplitMix64(0x5EED5 + n)
+        not_extremal = 0
+        for _ in range(2):
+            fam = _anchored_extremal(rng, n)
+            for base in (fam, fam.complement()):
+                assert _definitional_is_extremal(base.masks, n)
+                outside = base.complement().masks
+                edits = (base.without_member(base.masks[rng.below(len(base))]),
+                         base.with_member(outside[rng.below(len(outside))]))
+                for g in (base, *edits):
+                    assert set(g.shattered_sets().masks) == helpers.brute_shattered(g.masks, n)
+                    extremal = _definitional_is_extremal(g.masks, n)
+                    assert g.is_s_extremal() == extremal
+                    not_extremal += not extremal
+        assert not_extremal > 0
+
+
+def _anchored_extremal(rng, n):
+    """Family of an anchored system on 3 to 6 supports of 2 to 4 elements."""
+    supports = []
+    for _ in range(3 + rng.below(4)):
+        elements = list(range(n))
+        support = 0
+        for _ in range(2 + rng.below(3)):
+            support |= 1 << elements.pop(rng.below(len(elements)))
+        supports.append(support)
+    antichain = SetFamily.of(n, supports).minimal_elements().masks
+    return SpernerSystem.from_anchor(n, antichain, rng.bits(n)).family()
 
 
 def _down_closure(fam):
