@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import (EmptyInput, NotAntichain, NotExtremal, ShatterlabError, TooLarge,
                      VerificationFailed, WitnessNotEligible)
-from .families import SetFamily, check_ground, full_mask
-from .sperner import Cube, SpernerSystem, decompose
+from .families import SetFamily, check_ground, cube_bits, full_mask, masks_of_bits
+from .sperner import SpernerSystem, decompose
 from .sampling import SplitMix64, random_family
 
 
@@ -41,11 +41,13 @@ def uncovered_witness(system: SpernerSystem) -> tuple[int, int] | None:
     members = system.members
     if not members:
         raise EmptyInput("system has no members")
-    for i, (si, hi) in enumerate(members):
-        others = [members[j] for j in range(len(members)) if j != i]
-        for f in Cube(system.n, si, hi).member_masks():
-            if all(f & sj != hj for sj, hj in others):
-                return i, f
+    cubes = [cube_bits(system.n, s, h) for s, h in members]
+    for i, escaping in enumerate(cubes):
+        for j, other in enumerate(cubes):
+            if j != i:
+                escaping &= ~other
+        if escaping:
+            return i, (escaping & -escaping).bit_length() - 1
     return None
 
 
@@ -158,12 +160,12 @@ def augment_anchored(n: int, antichain: list[int], anchor: int, index: int) -> E
     new_fam = successor.family()
     if len(new_fam) != len(fam) + 1:
         raise VerificationFailed("anchored successor family did not grow by exactly one set")
-    added = [m for m in new_fam if m not in fam]
-    if len(added) != 1:
+    added = new_fam.bits & ~fam.bits
+    if added.bit_count() != 1:
         raise VerificationFailed("anchored successor family is not a superset of the old family")
     return EliminationCertificate(
         chosen_member=s0,
-        added_set=added[0],
+        added_set=added.bit_length() - 1,
         successor=successor,
         augmented_family=new_fam,
     )
@@ -262,7 +264,8 @@ def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None
     Exhaustive mode (samples None) enumerates all 2^(2^n) families and needs
     n <= 4.  Random mode draws `samples` families with the documented scheme:
     each subset of [n] is included independently with probability 1/2, bits
-    taken from a splitmix64 stream seeded with `seed`.
+    taken from a splitmix64 stream seeded with `seed`; it needs n <= 10, as
+    the definitional oracle costs 2^n |F| per sample.
     """
     check_ground(n)
     if samples is None:
@@ -270,14 +273,15 @@ def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None
             raise TooLarge(f"exhaustive audit needs n <= 4, got {n}")
         mode = "exhaustive"
         total = 1 << (1 << n)
-        family_iter = (tuple(m for m in range(1 << n) if bits >> m & 1)
-                       for bits in range(total))
+        family_iter = map(masks_of_bits, range(total))
         examined = total
     else:
         if seed is None:
             raise EmptyInput("random audit mode requires a seed")
         if samples < 0:
             raise ShatterlabError(f"sample count must be non-negative, got {samples}")
+        if n > 10:
+            raise TooLarge(f"random audit needs n <= 10, got {n}")
         mode = "random"
         rng = SplitMix64(seed)
         family_iter = (random_family(rng, n) for _ in range(samples))

@@ -2,15 +2,17 @@
 
 A subset of [n] = {1, ..., n} is encoded as an n-bit mask: bit i-1 set iff
 element i is in the subset.  Elements are 1-based in all I/O, bit positions
-0-based internally.  A family is a deduplicated tuple of masks in ascending
-integer order (the canonical order used for equality and serialization).
+0-based internally.  A family is held as its ascending, deduplicated mask
+tuple `masks` (construction, equality, hashing, iteration, output) and, from
+first use, as one 2^n-bit integer `bits` (bit m set iff m is a member) that
+every set operation works on.  Other modules enter and leave that encoding
+only through `cube_bits`, `masks_of_bits` and `SetFamily.from_bits`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .errors import ShatterlabError
@@ -60,7 +62,7 @@ def submasks(mask: int) -> Iterator[int]:
 
 @cache
 def _bit_clear_positions(n: int) -> tuple[int, ...]:
-    """For each bit x < n, the 2^n-bit integer whose set bits are the masks without x."""
+    """Z_x for each bit x < n: the 2^n-bit integer whose set bits are the masks without x."""
     out = []
     for x in range(n):
         pattern, width = (1 << (1 << x)) - 1, 2 << x
@@ -69,6 +71,25 @@ def _bit_clear_positions(n: int) -> tuple[int, ...]:
             width <<= 1
         out.append(pattern)
     return tuple(out)
+
+
+_BYTE_POSITIONS = tuple(tuple(i for i in range(8) if byte & 1 << i) for byte in range(256))
+
+
+def masks_of_bits(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits of a non-negative bitset, ascending."""
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    return tuple(base + i for base, byte in zip(range(0, len(data) << 3, 8), data) if byte
+                 for i in _BYTE_POSITIONS[byte])
+
+
+def cube_bits(n: int, support: int, pattern: int) -> int:
+    """Bitset of the masks m over [n] with m & support == pattern."""
+    bits = (1 << (1 << n)) - 1
+    for x, clear in enumerate(_bit_clear_positions(n)):
+        if support & 1 << x:
+            bits &= ~clear if pattern & 1 << x else clear
+    return bits
 
 
 def is_antichain(masks: Iterable[int]) -> bool:
@@ -113,6 +134,13 @@ class SetFamily:
         return cls(n, tuple(sorted(masks)))
 
     @classmethod
+    def from_bits(cls, n: int, bits: int) -> "SetFamily":
+        """The family whose bitset is `bits` (kept, not re-encoded)."""
+        fam = cls(n, masks_of_bits(bits))
+        fam.__dict__["bits"] = bits
+        return fam
+
+    @classmethod
     def empty(cls, n: int) -> "SetFamily":
         return cls(n, ())
 
@@ -126,9 +154,16 @@ class SetFamily:
     def __iter__(self) -> Iterator[int]:
         return iter(self.masks)
 
+    @cached_property
+    def bits(self) -> int:
+        """The family as one 2^n-bit integer: bit m set iff m is a member."""
+        members = bytearray(((1 << self.n) + 7) >> 3)
+        for m in self.masks:
+            members[m >> 3] |= 1 << (m & 7)
+        return int.from_bytes(members, "little")
+
     def __contains__(self, mask: int) -> bool:
-        i = bisect_left(self.masks, mask)
-        return i < len(self.masks) and self.masks[i] == mask
+        return mask >= 0 and self.bits >> mask & 1 == 1
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as 1-based element tuples, canonical order."""
@@ -146,17 +181,17 @@ class SetFamily:
     # -- traces and shattering -------------------------------------------
 
     def trace(self, s: int) -> "SetFamily":
-        """The family of intersections { F & s : F in self }."""
+        """The family of intersections { F & s : F in self }; folds as in `shattered_sets`."""
         self._check_mask(s)
-        return SetFamily.of(self.n, {m & s for m in self.masks})
+        bits = self.bits
+        for x, clear in enumerate(_bit_clear_positions(self.n)):
+            if not s & 1 << x:
+                bits = (bits | bits >> (1 << x)) & clear
+        return SetFamily.from_bits(self.n, bits)
 
     def is_shattered(self, s: int) -> bool:
         """True iff every subset of s arises as a trace member."""
-        self._check_mask(s)
-        want = 1 << s.bit_count()
-        if len(self.masks) < want:
-            return False
-        return len({m & s for m in self.masks}) == want
+        return len(self.trace(s)) == 1 << s.bit_count()
 
     def shattered_sets(self) -> "SetFamily":
         """All sets shattered by the family (a down-set).
@@ -177,13 +212,8 @@ class SetFamily:
         at once: O(n 2^n) bits.
         Empty family shatters nothing, by convention.
         """
-        if not self.masks:
-            return SetFamily.empty(self.n)
         n = self.n
         clear = _bit_clear_positions(n)
-        members = bytearray(((1 << n) + 7) >> 3)
-        for m in self.masks:
-            members[m >> 3] |= 1 << (m & 7)
         out: list[int] = []
 
         def walk(s: int, traces: int, first: int, fixed: int) -> None:
@@ -200,7 +230,7 @@ class SetFamily:
                     walk(s ^ bit, (traces | traces >> bit) & clear[x], x + 1, fixed)
                     fixed |= bit
 
-        walk(full_mask(n), int.from_bytes(members, "little"), 0, 0)
+        walk(full_mask(n), self.bits, 0, 0)
         out.sort()
         return SetFamily(n, tuple(out))
 
@@ -217,31 +247,19 @@ class SetFamily:
     # -- order structure --------------------------------------------------
 
     def is_down_set(self) -> bool:
-        present = set(self.masks)
-        for m in self.masks:
-            rest = m
-            while rest:
-                low = rest & -rest
-                if (m ^ low) not in present:
-                    return False
-                rest ^= low
-        return True
+        """Every member with x, x removed, is a member: (B & ~Z_x) >> 2^x lies inside B."""
+        b = self.bits
+        return all(not (b & ~clear) >> (1 << x) & ~b
+                   for x, clear in enumerate(_bit_clear_positions(self.n)))
 
     def is_up_set(self) -> bool:
-        present = set(self.masks)
-        top = full_mask(self.n)
-        for m in self.masks:
-            rest = top & ~m
-            while rest:
-                low = rest & -rest
-                if (m | low) not in present:
-                    return False
-                rest ^= low
-        return True
+        """Every member without x, x added, is a member: (B & Z_x) << 2^x lies inside B."""
+        b = self.bits
+        return all(not (b & clear) << (1 << x) & ~b
+                   for x, clear in enumerate(_bit_clear_positions(self.n)))
 
     def complement(self) -> "SetFamily":
-        present = set(self.masks)
-        return SetFamily(self.n, tuple(m for m in range(1 << self.n) if m not in present))
+        return SetFamily.from_bits(self.n, self.bits ^ (1 << (1 << self.n)) - 1)
 
     def minimal_elements(self) -> "SetFamily":
         """Inclusion-minimal members (an antichain); smaller masks scanned first."""

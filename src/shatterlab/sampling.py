@@ -9,7 +9,7 @@ patterns are supports cut by fresh random masks.
 
 from __future__ import annotations
 
-from .families import SetFamily
+from .families import SetFamily, masks_of_bits
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,8 +53,7 @@ def random_mask(rng: SplitMix64, n: int) -> int:
 
 def random_family(rng: SplitMix64, n: int) -> tuple[int, ...]:
     """Masks of a random family: one inclusion bit per subset of [n]."""
-    bits = rng.bits(1 << n)
-    return tuple(m for m in range(1 << n) if bits >> m & 1)
+    return masks_of_bits(rng.bits(1 << n))
 
 
 def random_antichain(rng: SplitMix64, n: int, max_members: int) -> tuple[int, ...]:

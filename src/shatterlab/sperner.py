@@ -20,7 +20,7 @@ from .errors import (
     PatternNotInSupport,
     ShatterlabError,
 )
-from .families import SetFamily, check_ground, full_mask, is_antichain, submasks
+from .families import SetFamily, check_ground, cube_bits, full_mask, is_antichain
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,8 @@ class Cube:
     def contains(self, mask: int) -> bool:
         return mask & self.support == self.pattern
 
-    def member_masks(self) -> tuple[int, ...]:
-        """Members in ascending mask order.
-
-        Pattern and free bits are disjoint, so OR is addition and ascending
-        submask order of the free part gives ascending members.
-        """
-        free = full_mask(self.n) & ~self.support
-        return tuple(self.pattern | sub for sub in submasks(free))
-
     def members(self) -> SetFamily:
-        return SetFamily(self.n, self.member_masks())
+        return SetFamily.from_bits(self.n, cube_bits(self.n, self.support, self.pattern))
 
 
 @dataclass(frozen=True)
@@ -111,37 +102,29 @@ class SpernerSystem:
 
     def up_closure(self) -> SetFamily:
         """All sets containing at least one member support (an up-set)."""
-        return _union_of_cubes(self.n, [(s, s) for s, _ in self.members])
+        return self.up_complement().complement()
 
     def up_complement(self) -> SetFamily:
         """Sets containing no member support; complement of the up-closure (a down-set)."""
-        return self.up_closure().complement()
+        return _outside_cubes(self.n, [(s, s) for s, _ in self.members])
 
     def family(self) -> SetFamily:
         """Sets whose trace on every support differs from that member's pattern."""
-        return _union_of_cubes(self.n, list(self.members)).complement()
+        return _outside_cubes(self.n, self.members)
 
 
-def _union_of_cubes(n: int, pairs: list[tuple[int, int]]) -> SetFamily:
-    # 2^n bitmap; exact and simple at this scale
-    total = 1 << n
-    hit = bytearray(total)
-    top = total - 1
+def _outside_cubes(n: int, pairs: Iterable[tuple[int, int]]) -> SetFamily:
+    """The sets in none of the cubes (support, pattern)."""
+    union = 0
     for support, pattern in pairs:
-        free = top & ~support
-        sub = free
-        while True:
-            hit[pattern | sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    return SetFamily(n, tuple(m for m in range(total) if hit[m]))
+        union |= cube_bits(n, support, pattern)
+    return SetFamily.from_bits(n, cube_bits(n, 0, 0) ^ union)
 
 
 def missing_patterns(fam: SetFamily, s: int) -> SetFamily:
     """Subsets of s that occur as no trace of the family."""
-    seen = {m & s for m in fam.masks}
-    return SetFamily(fam.n, tuple(h for h in submasks(s) if h not in seen))
+    traces = fam.trace(s).bits
+    return SetFamily.from_bits(fam.n, cube_bits(fam.n, full_mask(fam.n) ^ s, 0) & ~traces)
 
 
 def decompose(fam: SetFamily) -> SpernerSystem:

@@ -38,6 +38,16 @@ def brute_is_extremal(masks, n):
     return len(brute_shattered(masks, n)) == len(masks)
 
 
+def brute_is_down_set(masks, n):
+    present = set(masks)
+    return all(g in present for m in masks for g in range(m + 1) if g & m == g)
+
+
+def brute_is_up_set(masks, n):
+    present = set(masks)
+    return all(g in present for m in masks for g in range(m, 1 << n) if g & m == m)
+
+
 def brute_cube(n, support, pattern):
     return {f for f in range(1 << n) if f & support == pattern}
 

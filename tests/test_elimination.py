@@ -299,6 +299,10 @@ class TestAudit:
         with pytest.raises(TooLarge):
             audit_conjecture(5)
 
+    def test_random_cap(self):
+        with pytest.raises(TooLarge):
+            audit_conjecture(11, samples=1, seed=1)
+
     def test_random_mode_needs_seed(self):
         with pytest.raises(EmptyInput):
             audit_conjecture(4, samples=10)

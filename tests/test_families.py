@@ -8,6 +8,8 @@ from hypothesis import given
 import helpers
 from shatterlab import SetFamily, ShatterlabError, SplitMix64, SpernerSystem, random_family
 from shatterlab.elimination import _definitional_is_extremal
+from shatterlab.families import cube_bits, masks_of_bits
+from shatterlab.sperner import missing_patterns
 
 # the running 4-member example over [3]: {3}, {1,2}, {2,3}, {1,2,3}
 EX_FAMILY = SetFamily.from_sets(3, [[3], [1, 2], [2, 3], [1, 2, 3]])
@@ -206,14 +208,33 @@ class TestRandomSweeps:
 
 
 class TestShatteredSetsAgainstOracles:
-    """The shattered-set kernel against the definitional oracles."""
+    """The shattered-set kernel and the other bitset operations against the definitional oracles."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_every_family_exhaustive(self, n):
+        everything = range(1 << n)
+        probes = range(-1, (1 << n) + 1)
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            got = SetFamily(n, masks).shattered_sets().masks
+            fam = SetFamily(n, masks)
+            got = fam.shattered_sets().masks
             assert got == tuple(sorted(helpers.brute_shattered(masks, n)))
+            assert fam.is_down_set() == helpers.brute_is_down_set(masks, n)
+            assert fam.is_up_set() == helpers.brute_is_up_set(masks, n)
+            assert fam.complement().masks == tuple(sorted(set(everything).difference(masks)))
+            assert tuple(m for m in probes if m in fam) == masks
+            if n <= 3:
+                for s in everything:
+                    assert set(fam.trace(s).masks) == helpers.brute_trace(masks, s)
+                    assert set(missing_patterns(fam, s).masks) == helpers.brute_missing(masks, n, s)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_cube_bits_exhaustive(self, n):
+        for support in range(1 << n):
+            for pattern in range(1 << n):
+                if pattern & ~support == 0:
+                    got = masks_of_bits(cube_bits(n, support, pattern))
+                    assert got == tuple(sorted(helpers.brute_cube(n, support, pattern)))
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_extremal_families_complements_and_edits(self, n):

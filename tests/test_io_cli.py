@@ -288,6 +288,10 @@ class TestCli:
         assert run_cli(["audit", "--n", "3", "--count", "-5", "--seed", "1"]) == (1, "")
         assert "non-negative" in capsys.readouterr().err
 
+    def test_audit_random_size_cap_exits_1(self, capsys):
+        assert run_cli(["audit", "--n", "11", "--count", "1", "--seed", "1"]) == (1, "")
+        assert capsys.readouterr().err == "error: random audit needs n <= 10, got 11\n"
+
     def test_usage_error_exits_1(self):
         assert run_cli(["definitely-not-a-command"])[0] == 1
         assert run_cli([])[0] == 1
