@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .cubes import (
     classify_graph,
@@ -255,7 +256,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every `main` call."""
     parser = _Parser(prog="shatterlab",
                      description="Construct, verify, and search shattering-extremal set systems.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,7 +6,8 @@ element i is in the subset.  Elements are 1-based in all I/O, bit positions
 tuple `masks` (construction, equality, hashing, iteration, output) and, from
 first use, as one 2^n-bit integer `bits` (bit m set iff m is a member) that
 every set operation works on.  Other modules enter and leave that encoding
-only through `cube_bits`, `masks_of_bits` and `SetFamily.from_bits`.
+only through `cube_bits`, `trace_bits`, `minimal_non_members`,
+`masks_of_bits` and `SetFamily.from_bits`.
 """
 
 from __future__ import annotations
@@ -92,6 +93,31 @@ def cube_bits(n: int, support: int, pattern: int) -> int:
     return bits
 
 
+def trace_bits(n: int, bits: int, s: int) -> int:
+    """Bitset of the traces { m & s } of the family with bitset `bits`.
+
+    Projecting element x out is one fold, P | P >> 2^x, kept to the
+    positions whose bit x is clear.
+    """
+    for x, clear in enumerate(_bit_clear_positions(n)):
+        if not s & 1 << x:
+            bits = (bits | bits >> (1 << x)) & clear
+    return bits
+
+
+def minimal_non_members(n: int, down: int) -> int:
+    """Bitset of the inclusion-minimal sets outside the down-set with bitset `down`.
+
+    A non-member is minimal iff removing any one element lands in the
+    down-set, i.e. no (U & Z_x) << 2^x hits it, U the non-members.
+    """
+    outside = down ^ (1 << (1 << n)) - 1
+    covered = 0
+    for x, clear in enumerate(_bit_clear_positions(n)):
+        covered |= (outside & clear) << (1 << x)
+    return outside & ~covered
+
+
 def is_antichain(masks: Iterable[int]) -> bool:
     """True iff no mask is a subset of a different one (duplicates fail too)."""
     ms = list(masks)
@@ -135,9 +161,16 @@ class SetFamily:
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "SetFamily":
-        """The family whose bitset is `bits` (kept, not re-encoded)."""
-        fam = cls(n, masks_of_bits(bits))
-        fam.__dict__["bits"] = bits
+        """The family whose bitset is `bits` (kept, not re-encoded).
+
+        The decoded masks are ascending and inside [n] by construction, so
+        only `n` and the range of `bits` are checked, not every mask.
+        """
+        check_ground(n)
+        if not 0 <= bits < 1 << (1 << n):
+            raise ShatterlabError(f"bitset outside the 2^{n} subsets of [{n}]")
+        fam = object.__new__(cls)
+        fam.__dict__.update(n=n, masks=masks_of_bits(bits), bits=bits)
         return fam
 
     @classmethod
@@ -181,13 +214,9 @@ class SetFamily:
     # -- traces and shattering -------------------------------------------
 
     def trace(self, s: int) -> "SetFamily":
-        """The family of intersections { F & s : F in self }; folds as in `shattered_sets`."""
+        """The family of intersections { F & s : F in self }."""
         self._check_mask(s)
-        bits = self.bits
-        for x, clear in enumerate(_bit_clear_positions(self.n)):
-            if not s & 1 << x:
-                bits = (bits | bits >> (1 << x)) & clear
-        return SetFamily.from_bits(self.n, bits)
+        return SetFamily.from_bits(self.n, trace_bits(self.n, self.bits, s))
 
     def is_shattered(self, s: int) -> bool:
         """True iff every subset of s arises as a trace member."""
@@ -196,43 +225,43 @@ class SetFamily:
     def shattered_sets(self) -> "SetFamily":
         """All sets shattered by the family (a down-set).
 
-        The family is one 2^n-bit integer, bit m set iff m is a member; the
-        trace F|S is the same kind of bitset with every position inside S.
-        Projecting element x out is one fold, P | P >> 2^x, kept to the
-        positions whose bit x is clear, and S is shattered iff its bitset
-        has 2^|S| bits.  Subsets are walked depth first from [n] down,
-        removing elements in increasing order, so each subset is reached
-        once and a node's subtree is every set between it and its fixed
-        part (its elements below the next one to remove).  A shattered node
-        shatters its whole subtree (shattered sets are subset-closed): the
-        subtree is emitted without further folds.  A child is not folded
-        when its fixed part alone needs more traces than the node has,
-        since a projection never has more traces than its parent.  Children
-        are folded only when visited, so at most n + 1 bitsets are alive
-        at once: O(n 2^n) bits.
+        Extremal families take the split route; every other family runs the
+        depth-first kernel `_dfs_shattered`.  Both return Sh(F) exactly.
+
+        Split.  Let F0 and F1 be F split on its top element x: the low and
+        high halves of the bitset, the members without x and those with x
+        (x dropped).  S without x is shattered by F iff it is shattered by
+        F0 | F1, and S + x iff S is shattered by both F0 and F1:
+            Sh(F) = Sh(F0 | F1)  disjoint-union  x * (Sh(F0) & Sh(F1)).
+        `_split_candidate` recurses as cand(F) = cand(F0|F1) | cand(F0&F1) << 2^x,
+        with cand = Sh on no member, one member and the full cube.
+        - |cand(F)| = |F|, as |F| = |F0 | F1| + |F0 & F1| and the base cases
+          conserve size.
+        - cand(F) is a down-set.  cand is monotone: G <= H gives
+          G0|G1 <= H0|H1 and G0&G1 <= H0&H1, and at the base cases the
+          empty family gives no set, one member gives only the empty set,
+          which every non-empty family's cand holds, and the full cube is
+          only inside itself.  So cand(F0&F1) lies in cand(F0|F1), and both
+          are down-sets by induction.
+        - cand(F) = Sh(F) if F is extremal.  Sh(F0 & F1) lies in
+          Sh(F0) & Sh(F1), so Pajor's bound |Sh(G)| >= |G| gives
+            |F| = |Sh(F)| >= |Sh(F0 | F1)| + |Sh(F0 & F1)| >= |F0 | F1| + |F0 & F1| = |F|.
+          All are equalities: F0 | F1 and F0 & F1 are extremal, and
+          Sh(F0) & Sh(F1) = Sh(F0 & F1); induction on n closes the step.
+
+        Check.  D = cand(F) is accepted iff F shatters none of its minimal
+        non-members (`minimal_non_members`).  Sufficient: a set outside D
+        contains a minimal non-member, and a subset of a shattered set is
+        shattered, so Sh(F) lies in D; with Pajor's bound,
+        |F| <= |Sh(F)| <= |D| = |F|, so Sh(F) = D.  Necessary: an extremal F
+        has D = Sh(F), whose non-members are not shattered.  So the split
+        route is exact, not a heuristic, and taken exactly when F is extremal.
         Empty family shatters nothing, by convention.
         """
-        n = self.n
-        clear = _bit_clear_positions(n)
-        out: list[int] = []
-
-        def walk(s: int, traces: int, first: int, fixed: int) -> None:
-            # fixed: the elements of s below `first`, in every set of the subtree
-            count = traces.bit_count()
-            if count == 1 << s.bit_count():
-                out.extend(fixed | sub for sub in submasks(s ^ fixed))
-                return
-            for x in range(first, n):
-                bit = 1 << x
-                if s & bit:
-                    if count < 1 << fixed.bit_count():
-                        return
-                    walk(s ^ bit, (traces | traces >> bit) & clear[x], x + 1, fixed)
-                    fixed |= bit
-
-        walk(full_mask(n), self.bits, 0, 0)
-        out.sort()
-        return SetFamily(n, tuple(out))
+        down = _extremal_shattered(self.bits, self.n)
+        if down is not None:
+            return SetFamily.from_bits(self.n, down)
+        return SetFamily(self.n, _dfs_shattered(self.bits, self.n))
 
     def vc_dimension(self) -> int | None:
         """Size of the largest shattered set; None for the empty family."""
@@ -280,3 +309,72 @@ class SetFamily:
     def _check_mask(self, s: int) -> None:
         if s & ~full_mask(self.n):
             raise ShatterlabError(f"mask {s} has bits outside ground set [{self.n}]")
+
+
+def _extremal_shattered(bits: int, n: int) -> int | None:
+    """Sh(F) as a bitset if F is extremal, else None: the split route of `SetFamily.shattered_sets`."""
+    down = _split_candidate(bits, n)
+    shattered = (trace_bits(n, bits, s).bit_count() == 1 << s.bit_count()
+                 for s in masks_of_bits(minimal_non_members(n, down)))
+    return None if any(shattered) else down
+
+
+def _split_candidate(bits: int, n: int) -> int:
+    """cand(F) of `SetFamily.shattered_sets`: a down-set of |F| sets, Sh(F) if F is extremal.
+
+    Splits repeat, most often on elements in no support (F0 = F1), so each
+    distinct (family, ground size) is computed once per call.
+    """
+    memo: dict[tuple[int, int], int] = {}
+
+    def cand(bits: int, n: int) -> int:
+        if bits & (bits - 1) == 0:
+            return 1 if bits else 0
+        if bits == (1 << (1 << n)) - 1:
+            return bits
+        out = memo.get((bits, n))
+        if out is None:
+            half = 1 << (n - 1)
+            low, high = bits & (1 << half) - 1, bits >> half
+            out = memo[bits, n] = cand(low | high, n - 1) | cand(low & high, n - 1) << half
+        return out
+
+    return cand(bits, n)
+
+
+def _dfs_shattered(bits: int, n: int) -> tuple[int, ...]:
+    """Sh(F) by depth-first trace projection, ascending; exact on every family.
+
+    The trace F|S is a 2^n-bit set with every position inside S, folded
+    from its parent's as in `trace_bits`, and S is shattered iff its bitset
+    has 2^|S| bits.  Subsets are walked depth first from [n] down,
+    removing elements in increasing order, so each subset is reached
+    once and a node's subtree is every set between it and its fixed
+    part (its elements below the next one to remove).  A shattered node
+    shatters its whole subtree (shattered sets are subset-closed): the
+    subtree is emitted without further folds.  A child is not folded
+    when its fixed part alone needs more traces than the node has,
+    since a projection never has more traces than its parent.  Children
+    are folded only when visited, so at most n + 1 bitsets are alive
+    at once: O(n 2^n) bits.
+    """
+    clear = _bit_clear_positions(n)
+    out: list[int] = []
+
+    def walk(s: int, traces: int, first: int, fixed: int) -> None:
+        # fixed: the elements of s below `first`, in every set of the subtree
+        count = traces.bit_count()
+        if count == 1 << s.bit_count():
+            out.extend(fixed | sub for sub in submasks(s ^ fixed))
+            return
+        for x in range(first, n):
+            bit = 1 << x
+            if s & bit:
+                if count < 1 << fixed.bit_count():
+                    return
+                walk(s ^ bit, (traces | traces >> bit) & clear[x], x + 1, fixed)
+                fixed |= bit
+
+    walk(full_mask(n), bits, 0, 0)
+    out.sort()
+    return tuple(out)

@@ -20,7 +20,16 @@ from .errors import (
     PatternNotInSupport,
     ShatterlabError,
 )
-from .families import SetFamily, check_ground, cube_bits, full_mask, is_antichain
+from .families import (
+    SetFamily,
+    check_ground,
+    cube_bits,
+    full_mask,
+    is_antichain,
+    masks_of_bits,
+    minimal_non_members,
+    trace_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -140,12 +149,11 @@ def decompose(fam: SetFamily) -> SpernerSystem:
     if len(shattered) != len(fam):
         raise NotExtremal(
             f"family shatters {len(shattered)} sets but has {len(fam)} members")
-    supports = shattered.complement().minimal_elements()
-    pairs = []
-    for s in supports:
-        missing = missing_patterns(fam, s)
-        if len(missing) != 1:
+    n, pairs = fam.n, []
+    for s in masks_of_bits(minimal_non_members(n, shattered.bits)):
+        missing = cube_bits(n, full_mask(n) ^ s, 0) & ~trace_bits(n, fam.bits, s)
+        if missing.bit_count() != 1:
             raise AmbiguousMissing(
-                f"minimal non-shattered support {s} has {len(missing)} missing patterns")
-        pairs.append((s, missing.masks[0]))
-    return SpernerSystem(fam.n, tuple(pairs))
+                f"minimal non-shattered support {s} has {missing.bit_count()} missing patterns")
+        pairs.append((s, missing.bit_length() - 1))
+    return SpernerSystem(n, tuple(pairs))

@@ -8,7 +8,14 @@ from hypothesis import given
 import helpers
 from shatterlab import SetFamily, ShatterlabError, SplitMix64, SpernerSystem, random_family
 from shatterlab.elimination import _definitional_is_extremal
-from shatterlab.families import cube_bits, masks_of_bits
+from shatterlab.families import (
+    _dfs_shattered,
+    _extremal_shattered,
+    _split_candidate,
+    cube_bits,
+    masks_of_bits,
+    minimal_non_members,
+)
 from shatterlab.sperner import missing_patterns
 
 # the running 4-member example over [3]: {3}, {1,2}, {2,3}, {1,2,3}
@@ -44,6 +51,21 @@ class TestConstruction:
 
     def test_sets_roundtrip(self):
         assert EX_FAMILY.sets() == ((1, 2), (3,), (2, 3), (1, 2, 3))
+
+    def test_from_bits_keeps_bits(self):
+        fam = SetFamily.from_bits(3, 0b10011001)
+        assert fam == SetFamily(3, (0, 3, 4, 7)) and fam.bits == 0b10011001
+        assert SetFamily.from_bits(0, 1).masks == (0,)
+
+    def test_from_bits_rejects_bad_ground(self):
+        for n in (-1, 25):
+            with pytest.raises(ShatterlabError, match="ground set size"):
+                SetFamily.from_bits(n, 0)
+
+    @pytest.mark.parametrize("n, bits", [(0, 2), (2, 1 << 4), (3, -1), (3, 1 << 8 | 1)])
+    def test_from_bits_rejects_out_of_range_bitset(self, n, bits):
+        with pytest.raises(ShatterlabError, match="bitset outside"):
+            SetFamily.from_bits(n, bits)
 
 
 class TestTrace:
@@ -214,11 +236,21 @@ class TestShatteredSetsAgainstOracles:
     def test_every_family_exhaustive(self, n):
         everything = range(1 << n)
         probes = range(-1, (1 << n) + 1)
+        downs = set()
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
             fam = SetFamily(n, masks)
-            got = fam.shattered_sets().masks
-            assert got == tuple(sorted(helpers.brute_shattered(masks, n)))
+            shattered = tuple(sorted(helpers.brute_shattered(masks, n)))
+            assert fam.shattered_sets().masks == shattered
+            assert _dfs_shattered(bits, n) == shattered
+            # the split candidate is a down-set of |F| sets, and the split
+            # route answers exactly on the extremal families, with Sh(F)
+            down = SetFamily.from_bits(n, _split_candidate(bits, n))
+            assert down.is_down_set() and len(down) == len(masks)
+            downs.add(down)
+            split = _extremal_shattered(bits, n)
+            assert (split is not None) == _definitional_is_extremal(masks, n)
+            assert split is None or masks_of_bits(split) == shattered
             assert fam.is_down_set() == helpers.brute_is_down_set(masks, n)
             assert fam.is_up_set() == helpers.brute_is_up_set(masks, n)
             assert fam.complement().masks == tuple(sorted(set(everything).difference(masks)))
@@ -227,6 +259,10 @@ class TestShatteredSetsAgainstOracles:
                 for s in everything:
                     assert set(fam.trace(s).masks) == helpers.brute_trace(masks, s)
                     assert set(missing_patterns(fam, s).masks) == helpers.brute_missing(masks, n, s)
+        # every down-set is its own candidate, so `downs` holds all of them
+        for down in downs:
+            assert masks_of_bits(minimal_non_members(n, down.bits)) == \
+                tuple(sorted(helpers.brute_minimal(down.complement().masks)))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_cube_bits_exhaustive(self, n):
@@ -256,6 +292,28 @@ class TestShatteredSetsAgainstOracles:
                     extremal = _definitional_is_extremal(g.masks, n)
                     assert g.is_s_extremal() == extremal
                     not_extremal += not extremal
+        assert not_extremal > 0
+
+    @pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+    def test_split_route_against_kernel(self, n):
+        # Anchored families and their complements are extremal, so they
+        # take the split route; one-member edits of them mostly are not and
+        # reach the kernel.  Both routes must give the same Sh(F).
+        rng = SplitMix64(0x5B117 + n)
+        fam = _anchored_extremal(rng, n)
+        not_extremal = 0
+        for base in (fam, fam.complement()):
+            outside = base.complement().masks
+            edits = (base.without_member(base.masks[rng.below(len(base))]),
+                     base.with_member(outside[rng.below(len(outside))]))
+            for g in (base, *edits):
+                kernel = _dfs_shattered(g.bits, n)
+                assert g.shattered_sets().masks == kernel
+                split = _extremal_shattered(g.bits, n)
+                assert split is None or masks_of_bits(split) == kernel
+                assert (split is not None) == (len(kernel) == len(g))
+                not_extremal += split is None
+            assert _extremal_shattered(base.bits, n) is not None
         assert not_extremal > 0
 
 

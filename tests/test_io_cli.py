@@ -296,6 +296,20 @@ class TestCli:
         assert run_cli(["definitely-not-a-command"])[0] == 1
         assert run_cli([])[0] == 1
 
+    def test_repeated_main_calls_agree(self, capsys):
+        # the parser is built once and shared by every call in the process
+        calls = [(["check"], EX_TEXT), (["definitely-not-a-command"], ""),
+                 (["check", "--format", "structured"], EX_TEXT),
+                 (["audit", "--n", "2", "--format", "structured"], ""),
+                 (["check", "--format", "csv"], EX_TEXT)]
+        first = []
+        for argv, text in calls:
+            first.append((run_cli(argv, text), capsys.readouterr()))
+        assert [code for (code, _), _ in first] == [0, 1, 0, 0, 1]
+        for _ in range(3):
+            for (argv, text), expected in zip(calls, first):
+                assert (run_cli(argv, text), capsys.readouterr()) == expected
+
     def test_run_config_api(self):
         config = RunConfig(command="audit", n=2)
         code, report = run(config)
