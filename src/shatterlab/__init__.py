@@ -28,10 +28,8 @@ from .errors import (
 from .families import SetFamily, elements_of_mask, is_antichain, mask_from_elements, submasks
 from .sperner import Cube, SpernerSystem, decompose, missing_patterns
 from .cubes import (
-    AntichainExtremalityReport,
     GraphClass,
     IntersectionGraph,
-    antichain_extremality,
     classify_graph,
     extremality_defect,
     extremality_defect_by_size,

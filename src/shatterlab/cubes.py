@@ -22,7 +22,7 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
-from .families import SetFamily, is_antichain
+from .families import SetFamily, is_antichain, is_extremal_with
 from .sperner import Cube, SpernerSystem
 
 # 2^N index sets are enumerated explicitly
@@ -204,30 +204,13 @@ def recover_anchor(system: SpernerSystem) -> int:
     return anchor
 
 
-@dataclass(frozen=True)
-class AntichainExtremalityReport:
-    family_size: int
-    bound: int               # size of the antichain's up-complement
-    shatters_none: bool      # family shatters no antichain member
-    bound_holds: bool        # family_size <= bound (guaranteed when shatters_none)
-    extremal: bool           # shatters_none and family_size == bound
+def is_antichain_extremal(fam: SetFamily, antichain: list[int]) -> bool:
+    """True iff the family is extremal with Sh(F) the antichain's up-complement.
 
-
-def antichain_extremality(fam: SetFamily, antichain: list[int]) -> AntichainExtremalityReport:
-    """Check extremality of a family relative to a fixed antichain."""
+    The up-complement's minimal non-members are exactly the antichain, so
+    this is |F| = |up-complement| and no antichain member shattered.
+    """
     if not is_antichain(antichain):
         raise NotAntichain("supports are not an antichain")
-    system = SpernerSystem.of(fam.n, [(s, 0) for s in antichain])
-    bound = len(system.up_complement())
-    shatters_none = not any(fam.is_shattered(s) for s in antichain)
-    return AntichainExtremalityReport(
-        family_size=len(fam),
-        bound=bound,
-        shatters_none=shatters_none,
-        bound_holds=len(fam) <= bound,
-        extremal=shatters_none and len(fam) == bound,
-    )
-
-
-def is_antichain_extremal(fam: SetFamily, antichain: list[int]) -> bool:
-    return antichain_extremality(fam, antichain).extremal
+    down = SpernerSystem.of(fam.n, [(s, 0) for s in antichain]).up_complement()
+    return is_extremal_with(fam.n, fam.bits, down.bits)

@@ -7,7 +7,7 @@ tuple `masks` (construction, equality, hashing, iteration, output) and, from
 first use, as one 2^n-bit integer `bits` (bit m set iff m is a member) that
 every set operation works on.  Other modules enter and leave that encoding
 only through `cube_bits`, `trace_bits`, `minimal_non_members`,
-`masks_of_bits` and `SetFamily.from_bits`.
+`is_extremal_with`, `masks_of_bits` and `SetFamily.from_bits`.
 """
 
 from __future__ import annotations
@@ -106,16 +106,37 @@ def trace_bits(n: int, bits: int, s: int) -> int:
 
 
 def minimal_non_members(n: int, down: int) -> int:
-    """Bitset of the inclusion-minimal sets outside the down-set with bitset `down`.
+    """Bitset of the sets outside `down` whose one-smaller subsets all lie in it.
 
-    A non-member is minimal iff removing any one element lands in the
-    down-set, i.e. no (U & Z_x) << 2^x hits it, U the non-members.
+    For a down-set these are exactly its inclusion-minimal non-members; for
+    any other bitset they still include every one.  A non-member qualifies
+    iff no (U & Z_x) << 2^x hits it, U the non-members.
     """
     outside = down ^ (1 << (1 << n)) - 1
     covered = 0
     for x, clear in enumerate(_bit_clear_positions(n)):
         covered |= (outside & clear) << (1 << x)
     return outside & ~covered
+
+
+def _shatters(n: int, bits: int, s: int) -> bool:
+    """True iff the family with bitset `bits` shatters s: its trace on s has 2^|s| sets."""
+    return trace_bits(n, bits, s).bit_count() == 1 << s.bit_count()
+
+
+def is_extremal_with(n: int, bits: int, down: int) -> bool:
+    """True iff the family F with bitset `bits` is extremal with Sh(F) = D, D = `down`.
+
+    The certificate is |D| = |F| and F shatters none of D's minimal
+    non-members (`minimal_non_members`): one trace each, no Sh(F).
+    Sufficient: a set outside D contains a minimal non-member, and a
+    subset of a shattered set is shattered, so Sh(F) lies in D; with
+    Pajor's bound |Sh(F)| >= |F|, |F| <= |Sh(F)| <= |D| = |F|, so
+    Sh(F) = D.  Necessary: if Sh(F) = D, no set outside D is shattered.
+    D need not be a down-set.  This is a theorem, not a heuristic.
+    """
+    return down.bit_count() == bits.bit_count() and not any(
+        _shatters(n, bits, s) for s in masks_of_bits(minimal_non_members(n, down)))
 
 
 def is_antichain(masks: Iterable[int]) -> bool:
@@ -206,10 +227,12 @@ class SetFamily:
         return len(self.masks) == 1 << self.n
 
     def with_member(self, mask: int) -> "SetFamily":
-        return SetFamily.of(self.n, self.masks + (mask,))
+        self._check_mask(mask)
+        return SetFamily.from_bits(self.n, self.bits | 1 << mask)
 
     def without_member(self, mask: int) -> "SetFamily":
-        return SetFamily(self.n, tuple(m for m in self.masks if m != mask))
+        """The family minus `mask`; the family itself when `mask` is no member."""
+        return SetFamily.from_bits(self.n, self.bits ^ 1 << mask) if mask in self else self
 
     # -- traces and shattering -------------------------------------------
 
@@ -220,7 +243,8 @@ class SetFamily:
 
     def is_shattered(self, s: int) -> bool:
         """True iff every subset of s arises as a trace member."""
-        return len(self.trace(s)) == 1 << s.bit_count()
+        self._check_mask(s)
+        return _shatters(self.n, self.bits, s)
 
     def shattered_sets(self) -> "SetFamily":
         """All sets shattered by the family (a down-set).
@@ -249,17 +273,12 @@ class SetFamily:
           All are equalities: F0 | F1 and F0 & F1 are extremal, and
           Sh(F0) & Sh(F1) = Sh(F0 & F1); induction on n closes the step.
 
-        Check.  D = cand(F) is accepted iff F shatters none of its minimal
-        non-members (`minimal_non_members`).  Sufficient: a set outside D
-        contains a minimal non-member, and a subset of a shattered set is
-        shattered, so Sh(F) lies in D; with Pajor's bound,
-        |F| <= |Sh(F)| <= |D| = |F|, so Sh(F) = D.  Necessary: an extremal F
-        has D = Sh(F), whose non-members are not shattered.  So the split
-        route is exact, not a heuristic, and taken exactly when F is extremal.
+        So `is_extremal_with` accepts cand(F) exactly when F is extremal, and
+        then cand(F) = Sh(F): the split route is exact, not a heuristic.
         Empty family shatters nothing, by convention.
         """
-        down = _extremal_shattered(self.bits, self.n)
-        if down is not None:
+        down = _split_candidate(self.bits, self.n)
+        if is_extremal_with(self.n, self.bits, down):
             return SetFamily.from_bits(self.n, down)
         return SetFamily(self.n, _dfs_shattered(self.bits, self.n))
 
@@ -270,8 +289,12 @@ class SetFamily:
         return max(s.bit_count() for s in self.shattered_sets())
 
     def is_s_extremal(self) -> bool:
-        """Equality case of the shattering lower bound: |Sh(F)| == |F|."""
-        return len(self.shattered_sets()) == len(self.masks)
+        """Equality case of the shattering lower bound, |Sh(F)| == |F|, decided without Sh(F).
+
+        An extremal family has Sh(F) = cand(F) (see `shattered_sets`), so the
+        certificate on cand(F) decides it.
+        """
+        return is_extremal_with(self.n, self.bits, _split_candidate(self.bits, self.n))
 
     # -- order structure --------------------------------------------------
 
@@ -309,14 +332,6 @@ class SetFamily:
     def _check_mask(self, s: int) -> None:
         if s & ~full_mask(self.n):
             raise ShatterlabError(f"mask {s} has bits outside ground set [{self.n}]")
-
-
-def _extremal_shattered(bits: int, n: int) -> int | None:
-    """Sh(F) as a bitset if F is extremal, else None: the split route of `SetFamily.shattered_sets`."""
-    down = _split_candidate(bits, n)
-    shattered = (trace_bits(n, bits, s).bit_count() == 1 << s.bit_count()
-                 for s in masks_of_bits(minimal_non_members(n, down)))
-    return None if any(shattered) else down
 
 
 def _split_candidate(bits: int, n: int) -> int:

@@ -8,6 +8,7 @@ from shatterlab import (
     EmptyInput,
     NotExtremal,
     SetFamily,
+    SplitMix64,
     SpernerSystem,
     TooLarge,
     WitnessNotEligible,
@@ -19,9 +20,12 @@ from shatterlab import (
     extremality_defect,
     intersection_graph,
     peel,
+    random_family,
     successor_members,
     uncovered_witness,
 )
+from shatterlab import families
+from shatterlab.elimination import _definitional_is_extremal
 
 EX_SYSTEM = SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0), (0b110, 0)])
 EX_FAMILY = EX_SYSTEM.family()
@@ -150,6 +154,28 @@ class TestAugment:
         cert = augment(system)
         assert cert is not None
         assert len(cert.augmented_family) == len(system.family()) + 1
+
+    def test_certificates_never_compute_shattered_sets(self, monkeypatch):
+        # augment's checks and is_s_extremal are decided by the antichain
+        # criterion alone: neither enumerates Sh(F), not even on a rejection
+        def refuse(*args):
+            raise AssertionError("Sh(F) was computed")
+        monkeypatch.setattr(families, "_dfs_shattered", refuse)
+        monkeypatch.setattr(SetFamily, "shattered_sets", refuse)
+        assert augment(EX_SYSTEM).added_set == 0b101
+        anchored = SpernerSystem.from_anchor(
+            10, [0b0000000111, 0b0000011100, 0b0001110000, 0b0111000000, 0b1000100010], 0b0101010101)
+        cert = augment(anchored)
+        assert cert.augmented_family.bits == anchored.family().bits | 1 << cert.added_set
+        with pytest.raises(NotExtremal):
+            augment(SpernerSystem.of(3, [(0b011, 0b001), (0b110, 0b010)]))
+        rng = SplitMix64(7)
+        non_extremal = [SetFamily.from_sets(2, [[], [1, 2]]), EX_FAMILY.with_member(0)]
+        non_extremal += [SetFamily(n, random_family(rng, n)) for n in (4, 6, 8, 10)]
+        for fam in non_extremal:
+            assert not _definitional_is_extremal(fam.masks, fam.n)
+            assert not fam.is_s_extremal()
+        assert cert.augmented_family.is_s_extremal()
 
     @given(helpers.systems())
     def test_certificate_invariants(self, system):

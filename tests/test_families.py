@@ -10,9 +10,9 @@ from shatterlab import SetFamily, ShatterlabError, SplitMix64, SpernerSystem, ra
 from shatterlab.elimination import _definitional_is_extremal
 from shatterlab.families import (
     _dfs_shattered,
-    _extremal_shattered,
     _split_candidate,
     cube_bits,
+    is_extremal_with,
     masks_of_bits,
     minimal_non_members,
 )
@@ -66,6 +66,16 @@ class TestConstruction:
     def test_from_bits_rejects_out_of_range_bitset(self, n, bits):
         with pytest.raises(ShatterlabError, match="bitset outside"):
             SetFamily.from_bits(n, bits)
+
+    def test_with_and_without_member(self):
+        assert EX_FAMILY.with_member(0) == SetFamily.of(3, EX_FAMILY.masks + (0,))
+        assert EX_FAMILY.with_member(0b011) == EX_FAMILY
+        assert EX_FAMILY.without_member(0b011) == SetFamily(3, (0b100, 0b110, 0b111))
+        for mask in (-1, -8, 8, 1 << 40):
+            with pytest.raises(ShatterlabError, match="outside ground set"):
+                EX_FAMILY.with_member(mask)
+            assert EX_FAMILY.without_member(mask) is EX_FAMILY
+        assert EX_FAMILY.without_member(0) is EX_FAMILY
 
 
 class TestTrace:
@@ -248,9 +258,9 @@ class TestShatteredSetsAgainstOracles:
             down = SetFamily.from_bits(n, _split_candidate(bits, n))
             assert down.is_down_set() and len(down) == len(masks)
             downs.add(down)
-            split = _extremal_shattered(bits, n)
-            assert (split is not None) == _definitional_is_extremal(masks, n)
-            assert split is None or masks_of_bits(split) == shattered
+            extremal = is_extremal_with(n, bits, down.bits)
+            assert extremal == _definitional_is_extremal(masks, n) == fam.is_s_extremal()
+            assert not extremal or down.masks == shattered
             assert fam.is_down_set() == helpers.brute_is_down_set(masks, n)
             assert fam.is_up_set() == helpers.brute_is_up_set(masks, n)
             assert fam.complement().masks == tuple(sorted(set(everything).difference(masks)))
@@ -263,6 +273,16 @@ class TestShatteredSetsAgainstOracles:
         for down in downs:
             assert masks_of_bits(minimal_non_members(n, down.bits)) == \
                 tuple(sorted(helpers.brute_minimal(down.complement().masks)))
+        # the certificate against every down-set, and at n <= 2 against every
+        # set of sets: true iff F is extremal with Sh(F) = D
+        if n <= 3:
+            targets = range(1 << (1 << n)) if n <= 2 else [down.bits for down in downs]
+            for bits in range(1 << (1 << n)):
+                masks = masks_of_bits(bits)
+                shattered = helpers.brute_shattered(masks, n)
+                for d in targets:
+                    expected = shattered == set(masks_of_bits(d)) and len(masks) == d.bit_count()
+                    assert is_extremal_with(n, bits, d) == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_cube_bits_exhaustive(self, n):
@@ -309,11 +329,12 @@ class TestShatteredSetsAgainstOracles:
             for g in (base, *edits):
                 kernel = _dfs_shattered(g.bits, n)
                 assert g.shattered_sets().masks == kernel
-                split = _extremal_shattered(g.bits, n)
-                assert split is None or masks_of_bits(split) == kernel
-                assert (split is not None) == (len(kernel) == len(g))
-                not_extremal += split is None
-            assert _extremal_shattered(base.bits, n) is not None
+                down = _split_candidate(g.bits, n)
+                extremal = is_extremal_with(n, g.bits, down)
+                assert extremal == (len(kernel) == len(g)) == g.is_s_extremal()
+                assert not extremal or masks_of_bits(down) == kernel
+                not_extremal += not extremal
+            assert is_extremal_with(n, base.bits, _split_candidate(base.bits, n))
         assert not_extremal > 0
 
 
