@@ -179,7 +179,7 @@ def _cmd_groebner(config, text):
     if config.order is not None and sorted(config.order) != list(range(system.n)):
         raise ParseError(
             f"--order must be a permutation of 1..{system.n}, got "
-            + ",".join(str(v + 1) for v in config.order))
+            + (",".join(str(v + 1) for v in config.order) or "-"))
     order = LexOrder(config.order) if config.order else LexOrder.standard(system.n)
     report = extremality_groebner_report(system, order)
     gens = [format_polynomial(g, order) for g in system_generators(system)]
@@ -280,10 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    # every parser destination is a RunConfig field; --order arrives as text
+    # every parser destination is a RunConfig field; --order arrives as text,
+    # and an empty --order is the empty priority list
     config = RunConfig(**vars(args))
     try:
-        config.order = tuple(int(v) - 1 for v in config.order.split(",")) if config.order else None
+        if config.order is not None:
+            config.order = tuple(int(v) - 1 for v in config.order.split(",")) if config.order else ()
     except ValueError:
         raise ParseError(f"bad --order {args.order!r}") from None
     return config

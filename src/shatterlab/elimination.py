@@ -8,9 +8,10 @@ system's family is the old family plus the witness, and it is extremal again.
 Peeling removes a set instead, by running the same step on the complement.
 
 Every certificate is verified before it is returned: the pattern-extension
-step is the subtlest part, so nothing is trusted.  Extremality is checked by
-the antichain criterion (`families.is_extremal_with`), a theorem rather than
-a heuristic, so the check is complete without recomputing Sh(F).
+step is the subtlest part, so nothing is trusted.  `augment` checks
+extremality by the antichain criterion (`families.is_extremal_with`), a
+theorem rather than a heuristic, so its checks are complete without
+computing Sh(F); `peel` checks it with `SetFamily.is_s_extremal`.
 """
 
 from __future__ import annotations
@@ -172,9 +173,8 @@ def peel(fam: SetFamily) -> int | None:
 
     Runs the extension step on the decomposition of the complement and maps
     the added set back: adding to the complement is removing from the family.
-    The removal is re-verified before returning; `is_s_extremal` decides
-    extremality by the antichain criterion on the split candidate, a proof,
-    without computing Sh(F).
+    The removal is re-verified before returning: `is_s_extremal` compares
+    |Sh(F)| with |F| on the family without the removed set.
     """
     if not fam.masks:
         raise EmptyInput("cannot peel the empty family")

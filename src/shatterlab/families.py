@@ -247,40 +247,8 @@ class SetFamily:
         return _shatters(self.n, self.bits, s)
 
     def shattered_sets(self) -> "SetFamily":
-        """All sets shattered by the family (a down-set).
-
-        Extremal families take the split route; every other family runs the
-        depth-first kernel `_dfs_shattered`.  Both return Sh(F) exactly.
-
-        Split.  Let F0 and F1 be F split on its top element x: the low and
-        high halves of the bitset, the members without x and those with x
-        (x dropped).  S without x is shattered by F iff it is shattered by
-        F0 | F1, and S + x iff S is shattered by both F0 and F1:
-            Sh(F) = Sh(F0 | F1)  disjoint-union  x * (Sh(F0) & Sh(F1)).
-        `_split_candidate` recurses as cand(F) = cand(F0|F1) | cand(F0&F1) << 2^x,
-        with cand = Sh on no member, one member and the full cube.
-        - |cand(F)| = |F|, as |F| = |F0 | F1| + |F0 & F1| and the base cases
-          conserve size.
-        - cand(F) is a down-set.  cand is monotone: G <= H gives
-          G0|G1 <= H0|H1 and G0&G1 <= H0&H1, and at the base cases the
-          empty family gives no set, one member gives only the empty set,
-          which every non-empty family's cand holds, and the full cube is
-          only inside itself.  So cand(F0&F1) lies in cand(F0|F1), and both
-          are down-sets by induction.
-        - cand(F) = Sh(F) if F is extremal.  Sh(F0 & F1) lies in
-          Sh(F0) & Sh(F1), so Pajor's bound |Sh(G)| >= |G| gives
-            |F| = |Sh(F)| >= |Sh(F0 | F1)| + |Sh(F0 & F1)| >= |F0 | F1| + |F0 & F1| = |F|.
-          All are equalities: F0 | F1 and F0 & F1 are extremal, and
-          Sh(F0) & Sh(F1) = Sh(F0 & F1); induction on n closes the step.
-
-        So `is_extremal_with` accepts cand(F) exactly when F is extremal, and
-        then cand(F) = Sh(F): the split route is exact, not a heuristic.
-        Empty family shatters nothing, by convention.
-        """
-        down = _split_candidate(self.bits, self.n)
-        if is_extremal_with(self.n, self.bits, down):
-            return SetFamily.from_bits(self.n, down)
-        return SetFamily(self.n, _dfs_shattered(self.bits, self.n))
+        """All sets shattered by the family (a down-set); see `_shattered_bits`."""
+        return SetFamily.from_bits(self.n, _shattered_bits(self.bits, self.n))
 
     def vc_dimension(self) -> int | None:
         """Size of the largest shattered set; None for the empty family."""
@@ -289,12 +257,8 @@ class SetFamily:
         return max(s.bit_count() for s in self.shattered_sets())
 
     def is_s_extremal(self) -> bool:
-        """Equality case of the shattering lower bound, |Sh(F)| == |F|, decided without Sh(F).
-
-        An extremal family has Sh(F) = cand(F) (see `shattered_sets`), so the
-        certificate on cand(F) decides it.
-        """
-        return is_extremal_with(self.n, self.bits, _split_candidate(self.bits, self.n))
+        """Equality case of the shattering lower bound, |Sh(F)| == |F|."""
+        return _shattered_bits(self.bits, self.n).bit_count() == len(self)
 
     # -- order structure --------------------------------------------------
 
@@ -334,62 +298,36 @@ class SetFamily:
             raise ShatterlabError(f"mask {s} has bits outside ground set [{self.n}]")
 
 
-def _split_candidate(bits: int, n: int) -> int:
-    """cand(F) of `SetFamily.shattered_sets`: a down-set of |F| sets, Sh(F) if F is extremal.
+def _shattered_bits(bits: int, n: int) -> int:
+    """Bitset of Sh(F), F the family with bitset `bits` over [n]; exact on every family.
 
-    Splits repeat, most often on elements in no support (F0 = F1), so each
-    distinct (family, ground size) is computed once per call.
+    Let F0 and F1 be F split on its top element x: the low and high halves
+    of the bitset, the members without x and those with x (x dropped):
+        Sh(F) = Sh(F0 | F1)  disjoint-union  x * (Sh(F0) & Sh(F1)).
+    A set S without x has the same traces in F as in F0 | F1, and S + x is
+    shattered iff every trace on S occurs both without x (in F0) and with
+    it (in F1), that is iff both F0 and F1 shatter S.
+    No member shatters nothing, and one member shatters only the empty set.
+    Splits repeat, most often on elements in no member (F0 = F1), so each
+    distinct family is computed once per call.  The memo is keyed on the
+    bitset alone: a set holding an element no member has is never
+    shattered, so Sh(F) does not depend on the ground set.
     """
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[int, int] = {}
 
-    def cand(bits: int, n: int) -> int:
+    def sh(bits: int, n: int) -> int:
         if bits & (bits - 1) == 0:
             return 1 if bits else 0
-        if bits == (1 << (1 << n)) - 1:
-            return bits
-        out = memo.get((bits, n))
+        out = memo.get(bits)
         if out is None:
             half = 1 << (n - 1)
             low, high = bits & (1 << half) - 1, bits >> half
-            out = memo[bits, n] = cand(low | high, n - 1) | cand(low & high, n - 1) << half
+            if low == high:
+                s = sh(low, n - 1)
+                out = s | s << half
+            else:
+                out = sh(low | high, n - 1) | (sh(low, n - 1) & sh(high, n - 1)) << half
+            memo[bits] = out
         return out
 
-    return cand(bits, n)
-
-
-def _dfs_shattered(bits: int, n: int) -> tuple[int, ...]:
-    """Sh(F) by depth-first trace projection, ascending; exact on every family.
-
-    The trace F|S is a 2^n-bit set with every position inside S, folded
-    from its parent's as in `trace_bits`, and S is shattered iff its bitset
-    has 2^|S| bits.  Subsets are walked depth first from [n] down,
-    removing elements in increasing order, so each subset is reached
-    once and a node's subtree is every set between it and its fixed
-    part (its elements below the next one to remove).  A shattered node
-    shatters its whole subtree (shattered sets are subset-closed): the
-    subtree is emitted without further folds.  A child is not folded
-    when its fixed part alone needs more traces than the node has,
-    since a projection never has more traces than its parent.  Children
-    are folded only when visited, so at most n + 1 bitsets are alive
-    at once: O(n 2^n) bits.
-    """
-    clear = _bit_clear_positions(n)
-    out: list[int] = []
-
-    def walk(s: int, traces: int, first: int, fixed: int) -> None:
-        # fixed: the elements of s below `first`, in every set of the subtree
-        count = traces.bit_count()
-        if count == 1 << s.bit_count():
-            out.extend(fixed | sub for sub in submasks(s ^ fixed))
-            return
-        for x in range(first, n):
-            bit = 1 << x
-            if s & bit:
-                if count < 1 << fixed.bit_count():
-                    return
-                walk(s ^ bit, (traces | traces >> bit) & clear[x], x + 1, fixed)
-                fixed |= bit
-
-    walk(full_mask(n), bits, 0, 0)
-    out.sort()
-    return tuple(out)
+    return sh(bits, n)

@@ -156,11 +156,11 @@ class TestAugment:
         assert len(cert.augmented_family) == len(system.family()) + 1
 
     def test_certificates_never_compute_shattered_sets(self, monkeypatch):
-        # augment's checks and is_s_extremal are decided by the antichain
-        # criterion alone: neither enumerates Sh(F), not even on a rejection
+        # augment's checks are decided by the antichain criterion alone: they
+        # never enumerate Sh(F), not even on a rejection
         def refuse(*args):
             raise AssertionError("Sh(F) was computed")
-        monkeypatch.setattr(families, "_dfs_shattered", refuse)
+        monkeypatch.setattr(families, "_shattered_bits", refuse)
         monkeypatch.setattr(SetFamily, "shattered_sets", refuse)
         assert augment(EX_SYSTEM).added_set == 0b101
         anchored = SpernerSystem.from_anchor(
@@ -169,13 +169,16 @@ class TestAugment:
         assert cert.augmented_family.bits == anchored.family().bits | 1 << cert.added_set
         with pytest.raises(NotExtremal):
             augment(SpernerSystem.of(3, [(0b011, 0b001), (0b110, 0b010)]))
+        monkeypatch.undo()
+        assert cert.augmented_family.is_s_extremal()
+
+    def test_non_extremal_families_rejected(self):
         rng = SplitMix64(7)
         non_extremal = [SetFamily.from_sets(2, [[], [1, 2]]), EX_FAMILY.with_member(0)]
         non_extremal += [SetFamily(n, random_family(rng, n)) for n in (4, 6, 8, 10)]
         for fam in non_extremal:
             assert not _definitional_is_extremal(fam.masks, fam.n)
             assert not fam.is_s_extremal()
-        assert cert.augmented_family.is_s_extremal()
 
     @given(helpers.systems())
     def test_certificate_invariants(self, system):

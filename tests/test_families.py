@@ -9,8 +9,6 @@ import helpers
 from shatterlab import SetFamily, ShatterlabError, SplitMix64, SpernerSystem, random_family
 from shatterlab.elimination import _definitional_is_extremal
 from shatterlab.families import (
-    _dfs_shattered,
-    _split_candidate,
     cube_bits,
     is_extremal_with,
     masks_of_bits,
@@ -250,17 +248,11 @@ class TestShatteredSetsAgainstOracles:
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
             fam = SetFamily(n, masks)
-            shattered = tuple(sorted(helpers.brute_shattered(masks, n)))
-            assert fam.shattered_sets().masks == shattered
-            assert _dfs_shattered(bits, n) == shattered
-            # the split candidate is a down-set of |F| sets, and the split
-            # route answers exactly on the extremal families, with Sh(F)
-            down = SetFamily.from_bits(n, _split_candidate(bits, n))
-            assert down.is_down_set() and len(down) == len(masks)
-            downs.add(down)
-            extremal = is_extremal_with(n, bits, down.bits)
-            assert extremal == _definitional_is_extremal(masks, n) == fam.is_s_extremal()
-            assert not extremal or down.masks == shattered
+            shattered = fam.shattered_sets()
+            assert shattered.masks == tuple(sorted(helpers.brute_shattered(masks, n)))
+            downs.add(shattered)
+            extremal = _definitional_is_extremal(masks, n)
+            assert extremal == fam.is_s_extremal() == is_extremal_with(n, bits, shattered.bits)
             assert fam.is_down_set() == helpers.brute_is_down_set(masks, n)
             assert fam.is_up_set() == helpers.brute_is_up_set(masks, n)
             assert fam.complement().masks == tuple(sorted(set(everything).difference(masks)))
@@ -269,7 +261,7 @@ class TestShatteredSetsAgainstOracles:
                 for s in everything:
                     assert set(fam.trace(s).masks) == helpers.brute_trace(masks, s)
                     assert set(missing_patterns(fam, s).masks) == helpers.brute_missing(masks, n, s)
-        # every down-set is its own candidate, so `downs` holds all of them
+        # every down-set is its own Sh, so `downs` holds all of them
         for down in downs:
             assert masks_of_bits(minimal_non_members(n, down.bits)) == \
                 tuple(sorted(helpers.brute_minimal(down.complement().masks)))
@@ -295,9 +287,8 @@ class TestShatteredSetsAgainstOracles:
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_extremal_families_complements_and_edits(self, n):
         # Anchored systems give extremal families whose shattered sets reach
-        # deep into the cube, so whole subtrees are emitted at once; their
-        # complements shatter only small sets.  Adding or removing one
-        # member gives families next to extremal ones.
+        # deep into the cube; their complements shatter only small sets.
+        # Adding or removing one member gives families next to extremal ones.
         rng = SplitMix64(0x5EED5 + n)
         not_extremal = 0
         for _ in range(2):
@@ -314,11 +305,13 @@ class TestShatteredSetsAgainstOracles:
                     not_extremal += not extremal
         assert not_extremal > 0
 
-    @pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
-    def test_split_route_against_kernel(self, n):
-        # Anchored families and their complements are extremal, so they
-        # take the split route; one-member edits of them mostly are not and
-        # reach the kernel.  Both routes must give the same Sh(F).
+    @pytest.mark.parametrize("n", [12, 13, 14, 15, 16, 18])
+    def test_shattered_sets_certified(self, n):
+        # No reference kernel: Sh(F) = D follows when D is a down-set whose
+        # maximal elements F shatters (so D lies in Sh(F)) and F shatters
+        # none of D's minimal non-members (so Sh(F) lies in D).  Anchored
+        # families and their complements are extremal; one-member edits of
+        # them mostly are not.
         rng = SplitMix64(0x5B117 + n)
         fam = _anchored_extremal(rng, n)
         not_extremal = 0
@@ -327,14 +320,14 @@ class TestShatteredSetsAgainstOracles:
             edits = (base.without_member(base.masks[rng.below(len(base))]),
                      base.with_member(outside[rng.below(len(outside))]))
             for g in (base, *edits):
-                kernel = _dfs_shattered(g.bits, n)
-                assert g.shattered_sets().masks == kernel
-                down = _split_candidate(g.bits, n)
-                extremal = is_extremal_with(n, g.bits, down)
-                assert extremal == (len(kernel) == len(g)) == g.is_s_extremal()
-                assert not extremal or masks_of_bits(down) == kernel
+                down = g.shattered_sets()
+                assert down.is_down_set()
+                assert all(g.is_shattered(s) for s in down.maximal_elements())
+                assert not any(g.is_shattered(s) for s in masks_of_bits(minimal_non_members(n, down.bits)))
+                extremal = g.is_s_extremal()
+                assert extremal == is_extremal_with(n, g.bits, down.bits)
+                assert g is not base or extremal
                 not_extremal += not extremal
-            assert is_extremal_with(n, base.bits, _split_candidate(base.bits, n))
         assert not_extremal > 0
 
 

@@ -237,11 +237,18 @@ class TestCli:
         assert code == 0
         assert "mode: random" in report
 
-    def test_groebner_rejects_bad_order(self):
+    def test_groebner_rejects_bad_order(self, capsys):
         code, _ = run_cli(["groebner", "--order", "2,1"], EX_SYSTEM_JSON)
         assert code == 1
         code, _ = run_cli(["groebner", "--order", "1,1,2"], EX_SYSTEM_JSON)
         assert code == 1
+        # an empty --order is the empty priority list: a permutation only of [0]
+        code, out = run_cli(["groebner", "--order", ""], EX_SYSTEM_JSON)
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err.splitlines()   # one line per rejection
+        assert len(err) == 3 and err[-1] == "error: --order must be a permutation of 1..3, got -"
+        code, out = run_cli(["groebner", "--order", ""], json.dumps({"n": 0, "members": []}))
+        assert code == 0 and "order: -\n" in out
 
     def test_audit_random_needs_seed(self):
         code, _ = run_cli(["audit", "--n", "5", "--count", "50"])
