@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import InfiniteStaircase, PatternNotInSupport, ShatterlabError, TooLarge, ZeroPolynomial
-from .families import SetFamily, submasks
+from .errors import (GroundMismatch, InfiniteStaircase, PatternNotInSupport, ShatterlabError,
+                     TooLarge, ZeroPolynomial)
+from .families import SetFamily, cube_bits, submasks
 from .sperner import SpernerSystem
 
 Monomial = tuple  # exponent vector of length n
@@ -354,6 +355,7 @@ def containment_matrix(row_family: SetFamily, col_family: SetFamily) -> list[lis
     Rows play the role of squarefree monomials evaluated at the 0/1 points of
     the columns.
     """
+    _check_same_ground(row_family, col_family)
     return [[1 if t & f == t else 0 for f in col_family.masks] for t in row_family.masks]
 
 
@@ -387,10 +389,48 @@ def integer_matrix_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
+def _check_same_ground(a: SetFamily, b: SetFamily) -> None:
+    if a.n != b.n:
+        raise GroundMismatch(f"families over [{a.n}] and [{b.n}]")
+
+
 def point_evaluation_rank(fam: SetFamily, monomial_sets: SetFamily) -> int:
-    """Rank of the squarefree-monomial evaluation matrix on the family's points."""
-    if not monomial_sets.masks or not fam.masks:
-        return 0
+    """Rank over Q of the matrix of x^T (T in monomial_sets) at the points of fam.
+
+    Row T is the bitset of the members containing T.  The rows are reduced
+    over GF(2) by an XOR basis keyed by top bit, stopping once the rank
+    reaches min(|fam|, |monomial_sets|).  That certificate is exact over Q:
+    a minor that is nonzero mod 2 is an odd integer, so the rational rank is
+    at least the GF(2) rank and at most the smaller dimension.  Only when
+    the GF(2) rank falls short is the exact `integer_matrix_rank` run.
+
+    `extremality_groebner_report` never takes that fallback.  There fam is
+    the family F of a Sperner system and monomial_sets its up-complement D,
+    and the matrix has rank |F| over every field, GF(2) included.  Each cube
+    polynomial is monic with leading monomial x^S under every monomial
+    order and vanishes on F; the field equations x_i^2 - x_i are monic too.
+    Division by monic polynomials needs no inverse, so over any field the
+    multilinear interpolant of a function on F reduces to a polynomial with
+    the same values on F and no term divisible by any x^S or x_i^2: its
+    monomials are x^T with T in D.  So the rows span all functions on F,
+    |F| <= |D|, and the GF(2) rank reaches the minimum |F|.
+    """
+    _check_same_ground(fam, monomial_sets)
+    full = min(len(fam), len(monomial_sets))
+    pivots: dict[int, int] = {}
+    for t in monomial_sets.masks:
+        if len(pivots) == full:
+            break
+        row = fam.bits & cube_bits(fam.n, t, t)
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    if len(pivots) == full:
+        return full
     return integer_matrix_rank(containment_matrix(monomial_sets, fam))
 
 

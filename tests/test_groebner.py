@@ -1,5 +1,6 @@
 """Tests for the exact symbolic layer: polynomials, division, basis test, rank."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 from shatterlab import (
     Fp,
+    GroundMismatch,
     InfiniteStaircase,
     LexOrder,
     Polynomial,
@@ -33,6 +35,8 @@ from shatterlab import (
     system_generators,
     to_prime_field,
 )
+from shatterlab import groebner
+from shatterlab.groebner import containment_matrix
 
 EX_SYSTEM = SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0), (0b110, 0)])
 LEX = LexOrder.standard(3)
@@ -249,6 +253,50 @@ class TestRank:
         fam = SetFamily.of(3, [0b001, 0b110])
         assert point_evaluation_rank(fam, SetFamily.of(3, [0])) == 1
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_every_pair_exhaustive(self, n):
+        every = [SetFamily(n, tuple(m for m in range(1 << n) if bits >> m & 1))
+                 for bits in range(1 << (1 << n))]
+        for rows in every:
+            for cols in every:
+                want = helpers.fraction_rank(containment_matrix(rows, cols))
+                assert point_evaluation_rank(cols, rows) == want
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_fraction_gauss(self, data):
+        n = data.draw(st.integers(3, 5))
+        masks = st.frozensets(st.integers(0, (1 << n) - 1), max_size=12)
+        rows = SetFamily.of(n, data.draw(masks))
+        cols = SetFamily.of(n, data.draw(masks))
+        want = helpers.fraction_rank(containment_matrix(rows, cols))
+        assert point_evaluation_rank(cols, rows) == want
+
+    def test_gf2_deficient_matrix_takes_exact_fallback(self, monkeypatch):
+        # rows {1},{2},{3} against columns {1,2},{1,3},{2,3}: determinant -2,
+        # so rank 2 over GF(2) but 3 over Q
+        rows = SetFamily.of(3, [0b001, 0b010, 0b100])
+        cols = SetFamily.of(3, [0b011, 0b101, 0b110])
+        calls = []
+
+        def spy(matrix):
+            calls.append(matrix)
+            return integer_matrix_rank(matrix)
+        monkeypatch.setattr(groebner, "integer_matrix_rank", spy)
+        assert point_evaluation_rank(cols, rows) == 3
+        assert calls == [[[1, 1, 0], [1, 0, 1], [0, 1, 1]]]
+
+    def test_refuses_mismatched_ground_sets(self):
+        # mask 0b100 lies outside [2]; it must not be read as a set over [2]
+        fam = SetFamily.of(3, [0b001, 0b100])
+        monomials = SetFamily.of(2, [0b00, 0b01])
+        with pytest.raises(GroundMismatch):
+            point_evaluation_rank(fam, monomials)
+        with pytest.raises(GroundMismatch):
+            point_evaluation_rank(monomials, fam)
+        with pytest.raises(GroundMismatch):
+            containment_matrix(monomials, fam)
+
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=5))
     def test_bareiss_matches_fraction_gauss(self, rows):
         width = len(rows[0])
@@ -291,6 +339,25 @@ class TestReport:
         assert report.family_size == 0 and report.down_set_size == 0
         assert report.counting_equal and report.groebner and report.equivalence_holds
         assert report.standard_monomials == 0 and report.evaluation_rank == 0
+
+    def test_rank_never_needs_exact_fallback(self, monkeypatch):
+        # the docstring's theorem: report matrices have full rank |F| over GF(2)
+        def refuse(matrix):
+            raise AssertionError("exact rank fallback was taken")
+        monkeypatch.setattr(groebner, "integer_matrix_rank", refuse)
+        systems = [SpernerSystem.of(n, list(zip(supports, patterns)))
+                   for n in range(4)
+                   for supports in helpers.all_small_antichains(n, 3)
+                   for patterns in helpers.all_pattern_assignments(supports)]
+        rng = random.Random(9)
+        for _ in range(40):
+            n = rng.randint(6, 8)
+            triples = [m for m in range(1 << n) if m.bit_count() == 3]
+            supports = rng.sample(triples, rng.randint(2, 6))
+            systems.append(SpernerSystem.of(n, [(s, s & rng.getrandbits(n)) for s in supports]))
+        for system in systems:
+            report = extremality_groebner_report(system, LexOrder.standard(system.n))
+            assert report.evaluation_rank == report.family_size
 
     def test_caps(self):
         with pytest.raises(TooLarge):
