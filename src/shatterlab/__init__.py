@@ -52,7 +52,6 @@ from .elimination import (
     uncovered_witness,
 )
 from .groebner import (
-    Fp,
     GroebnerReport,
     LexOrder,
     Polynomial,
@@ -69,7 +68,6 @@ from .groebner import (
     s_polynomial,
     standard_monomial_count,
     system_generators,
-    to_prime_field,
 )
 from .sampling import SplitMix64, random_antichain, random_family, random_mask, random_system
 

@@ -1,9 +1,9 @@
 """Exact symbolic layer: cube polynomials, lex orders, division, and the basis test.
 
-Everything runs over exact coefficients.  The default field is the rationals
-(stdlib fractions); a tiny prime-field element type is provided for speed
-cross-checks.  Monomials are exponent tuples of length n; only the n!
-lexicographic orders are implemented, one per variable priority.
+Everything runs over the rationals (stdlib fractions): every division makes a
+`Fraction`, so polynomials built with integer coefficients stay exact.
+Monomials are exponent tuples of length n; only the n! lexicographic orders
+are implemented, one per variable priority.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class LexOrder:
     def key(self, mono: Monomial):
         return tuple(mono[v] for v in self.priority)
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
 
 def all_lex_orders(n: int):
     from itertools import permutations
@@ -94,122 +91,17 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.n, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def mul_term(self, coeff, mono: Monomial) -> "Polynomial":
-        if coeff == 0:
-            return Polynomial.zero(self.n)
-        return Polynomial(self.n, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.n, out)
-
     def evaluate_at_mask(self, mask: int):
         """Value at the 0/1 characteristic vector of `mask`.
 
         On 0/1 points every positive power collapses to the variable itself,
         so a monomial contributes iff its support lies inside the mask.
         """
-        total = Fraction(0)
-        first = True
-        for m, c in self.terms.items():
-            if all(mask >> i & 1 for i, e in enumerate(m) if e):
-                total = c if first else total + c
-                first = False
-        return Fraction(0) if first else total
-
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial(self.n, {m: fn(c) for m, c in self.terms.items()})
+        return sum((c for m, c in self.terms.items()
+                    if all(mask >> i & 1 for i, e in enumerate(m) if e)), Fraction(0))
 
     def __repr__(self):
         return f"Polynomial({self.n}, {self.terms!r})"
-
-
-@dataclass(frozen=True)
-class Fp:
-    """Prime-field element for cross-checking the rational computations."""
-
-    p: int
-    v: int
-
-    def _lift(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            return other
-        return Fp(self.p, other % self.p)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Fp(self.p, (self.v + o.v) % self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Fp(self.p, -self.v % self.p)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return Fp(self.p, self.v * o.v % self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return Fp(self.p, self.v * pow(o.v, -1, self.p) % self.p)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-
-def to_prime_field(poly: Polynomial, p: int) -> Polynomial:
-    """The image mod p of a rational polynomial; fails when p divides a denominator."""
-    def image(c) -> Fp:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise ShatterlabError(f"coefficient {c} has no image modulo {p}")
-        return Fp(p, c.numerator % p) / c.denominator
-    return poly.map_coefficients(image)
 
 
 # -- generators ---------------------------------------------------------------
@@ -251,14 +143,29 @@ def system_generators(system: SpernerSystem) -> list[Polynomial]:
 
 # -- division and the basis criterion ----------------------------------------
 
+def _check_arity(n: int, order: LexOrder) -> None:
+    if len(order.priority) != n:
+        # a short priority list ignores variables and breaks well-ordering
+        raise ShatterlabError(
+            f"order over {len(order.priority)} variables applied to {n}-variable polynomial")
+
+
 def leading_monomial(p: Polynomial, order: LexOrder) -> Monomial:
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has no leading monomial")
-    if len(order.priority) != p.n:
-        # a short priority list ignores variables and breaks well-ordering
-        raise ShatterlabError(
-            f"order over {len(order.priority)} variables applied to {p.n}-variable polynomial")
+    _check_arity(p.n, order)
     return max(p.terms, key=order.key)
+
+
+def _add_multiple(work: dict, p: Polynomial, coeff, shift: Monomial) -> None:
+    """work += coeff * x^shift * p in place, dropping the terms that cancel."""
+    for m, c in p.terms.items():
+        mm = mono_mul(m, shift)
+        s = work.get(mm, 0) + coeff * c
+        if s == 0:
+            work.pop(mm, None)
+        else:
+            work[mm] = s
 
 
 def normal_form(p: Polynomial, basis: list[Polynomial], order: LexOrder) -> Polynomial:
@@ -268,6 +175,7 @@ def normal_form(p: Polynomial, basis: list[Polynomial], order: LexOrder) -> Poly
     term, using the first basis element whose leading monomial divides it.
     The result has no term divisible by any basis leading monomial.
     """
+    _check_arity(p.n, order)
     lead = [(leading_monomial(b, order), b) for b in basis]
     work = dict(p.terms)
     while True:
@@ -282,25 +190,18 @@ def normal_form(p: Polynomial, basis: list[Polynomial], order: LexOrder) -> Poly
         if target is None:
             return Polynomial(p.n, work)
         mono, lm, b = target
-        factor = work[mono] / b.terms[lm]
-        shift = mono_div(mono, lm)
-        for m2, c2 in b.terms.items():
-            mm = mono_mul(m2, shift)
-            s = work.get(mm, 0) - factor * c2
-            if s == 0:
-                work.pop(mm, None)
-            else:
-                work[mm] = s
+        _add_multiple(work, b, -Fraction(work[mono], b.terms[lm]), mono_div(mono, lm))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: LexOrder) -> Polynomial:
-    """Cross-multiplied difference cancelling both leading terms."""
+    """Difference of f and g, each made monic and shifted to the lcm of the leads."""
     lmf = leading_monomial(f, order)
     lmg = leading_monomial(g, order)
     lcm = mono_lcm(lmf, lmg)
-    left = f.mul_term(1 / f.terms[lmf], mono_div(lcm, lmf))
-    right = g.mul_term(1 / g.terms[lmg], mono_div(lcm, lmg))
-    return left - right
+    work: dict = {}
+    _add_multiple(work, f, Fraction(1, f.terms[lmf]), mono_div(lcm, lmf))
+    _add_multiple(work, g, Fraction(-1, g.terms[lmg]), mono_div(lcm, lmg))
+    return Polynomial(f.n, work)
 
 
 def is_groebner_basis(basis: list[Polynomial], order: LexOrder) -> bool:
@@ -326,19 +227,19 @@ def standard_monomial_count(basis: list[Polynomial], order: LexOrder) -> int:
     bounding its exponent; otherwise the staircase is infinite and we refuse.
     """
     lead = [leading_monomial(b, order) for b in basis]
-    n = len(lead[0]) if lead else 0
+    # the order, not the basis, fixes n: no generators over n >= 1 variables
+    # leave every variable unbounded
+    n = len(order.priority)
     if any(all(e == 0 for e in lm) for lm in lead):
         return 0
-    if n == 0:
-        return 1 if not lead else 0
     bounds: list[int | None] = [None] * n
     for lm in lead:
         nz = [i for i, e in enumerate(lm) if e]
         if len(nz) == 1:
             i = nz[0]
             bounds[i] = lm[i] if bounds[i] is None else min(bounds[i], lm[i])
-    if any(b is None for b in bounds):
-        missing = [i + 1 for i, b in enumerate(bounds) if b is None]
+    missing = [i + 1 for i, b in enumerate(bounds) if b is None]
+    if missing:
         raise InfiniteStaircase(f"no pure-power leading monomial for variables {missing}")
     count = 0
     for mono in product(*(range(b) for b in bounds)):
@@ -458,12 +359,13 @@ def extremality_groebner_report(system: SpernerSystem, order: LexOrder) -> Groeb
         raise TooLarge(f"ground set {system.n} exceeds cap {MAX_REPORT_GROUND}")
     if len(system.members) > MAX_REPORT_MEMBERS:
         raise TooLarge(f"{len(system.members)} members exceeds cap {MAX_REPORT_MEMBERS}")
+    _check_arity(system.n, order)
     fam = system.family()
     down = system.up_complement()
     counting = len(fam) == len(down)
     basis = system_generators(system)
     groebner = is_groebner_basis(basis, order)
-    standard = standard_monomial_count(basis, order) if basis else 1 << system.n
+    standard = standard_monomial_count(basis, order)
     rank = point_evaluation_rank(fam, down)
     return GroebnerReport(
         family_size=len(fam),

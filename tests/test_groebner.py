@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import helpers
 from shatterlab import (
-    Fp,
     GroundMismatch,
     InfiniteStaircase,
     LexOrder,
@@ -33,7 +32,6 @@ from shatterlab import (
     standard_monomial_count,
     submasks,
     system_generators,
-    to_prime_field,
 )
 from shatterlab import groebner
 from shatterlab.groebner import containment_matrix
@@ -89,7 +87,6 @@ class TestLeadingMonomial:
             leading_monomial(Polynomial.zero(2), LexOrder.standard(2))
 
     def test_rejects_order_arity_mismatch(self):
-        from shatterlab import ShatterlabError
         with pytest.raises(ShatterlabError):
             leading_monomial(poly(3, {(0, 0, 2): 1}), LexOrder.standard(2))
 
@@ -146,6 +143,23 @@ class TestNormalForm:
                 assert p.evaluate_at_mask(f) == r.evaluate_at_mask(f)
 
 
+    @pytest.mark.parametrize("n", [4, 2])
+    def test_rejects_polynomial_arity_mismatch(self, n):
+        # the basis matches the order but p does not: with more variables the
+        # division never ended, with fewer the order's key indexed past p
+        x1_minus_1 = poly(3, {(1, 0, 0): 1, (0, 0, 0): -1})
+        p = poly(n, {(1,) * n: 1})
+        with pytest.raises(ShatterlabError,
+                           match=f"order over 3 variables applied to {n}-variable polynomial"):
+            normal_form(p, [x1_minus_1], LEX)
+
+    def test_division_stays_exact(self):
+        f = Polynomial(1, {(1,): 2, (0,): 1})
+        got = normal_form(Polynomial(1, {(1,): 1}), [f], LexOrder.standard(1))
+        assert got.terms == {(0,): Fraction(-1, 2)}
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
 class TestSPolynomial:
     def test_leading_terms_cancel(self):
         f = poly(2, {(1, 1): 1, (1, 0): -1})
@@ -163,6 +177,12 @@ class TestSPolynomial:
         g = poly(2, {(0, 2): 1, (0, 1): -1})
         s = s_polynomial(f, g, LexOrder.standard(2))
         assert normal_form(s, [f, g], LexOrder.standard(2)).is_zero()
+
+    def test_integer_leading_coefficient_stays_exact(self):
+        f = Polynomial(1, {(1,): 2, (0,): 1})
+        got = s_polynomial(f, Polynomial(1, {(1,): 1}), LexOrder.standard(1))
+        assert got.terms == {(0,): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in got.terms.values())
 
     def test_zero_input(self):
         with pytest.raises(ZeroPolynomial):
@@ -196,22 +216,6 @@ class TestGroebnerBasis:
         verdicts = {is_groebner_basis(basis, order) for order in all_lex_orders(system.n)}
         assert len(verdicts) == 1
 
-    @settings(max_examples=25)
-    @given(helpers.systems(max_n=4, max_members=3))
-    def test_prime_field_cross_check(self, system):
-        order = LexOrder.standard(system.n)
-        basis = system_generators(system)
-        rational = is_groebner_basis(basis, order)
-        modular = is_groebner_basis([to_prime_field(g, 101) for g in basis], order)
-        assert rational == modular
-
-    def test_prime_field_keeps_rational_coefficients(self):
-        half = Polynomial(1, {(1,): Fraction(1, 2), (0,): Fraction(-3)})
-        # 1/2 is the inverse of 2 mod 7, i.e. 4; -3 is 4 as well
-        assert to_prime_field(half, 7).terms == {(1,): Fp(7, 4), (0,): Fp(7, 4)}
-        with pytest.raises(ShatterlabError, match="no image modulo 2"):
-            to_prime_field(half, 2)
-
 
 class TestStandardMonomials:
     def test_example_system(self):
@@ -237,6 +241,14 @@ class TestStandardMonomials:
 
     def test_constant_leading_monomial(self):
         assert standard_monomial_count([poly(2, {(0, 0): 1})], LexOrder.standard(2)) == 0
+
+    def test_empty_basis_has_infinite_staircase(self):
+        with pytest.raises(InfiniteStaircase):
+            standard_monomial_count([], LexOrder.standard(3))
+
+    def test_empty_basis_without_variables(self):
+        # the ring of constants: the one monomial 1 is standard
+        assert standard_monomial_count([], LexOrder.standard(0)) == 1
 
 
 class TestRank:
@@ -358,6 +370,11 @@ class TestReport:
         for system in systems:
             report = extremality_groebner_report(system, LexOrder.standard(system.n))
             assert report.evaluation_rank == report.family_size
+
+    def test_rejects_order_arity_mismatch(self):
+        # with no generators the mismatch must not pass as an infinite staircase
+        with pytest.raises(ShatterlabError, match="order over 2 variables applied to 0-variable"):
+            extremality_groebner_report(SpernerSystem.of(0, []), LexOrder.standard(2))
 
     def test_caps(self):
         with pytest.raises(TooLarge):

@@ -248,7 +248,7 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()   # one line per rejection
         assert len(err) == 3 and err[-1] == "error: --order must be a permutation of 1..3, got -"
         code, out = run_cli(["groebner", "--order", ""], json.dumps({"n": 0, "members": []}))
-        assert code == 0 and "order: -\n" in out
+        assert code == 0 and "order: -\n" in out and "standard-monomials: 1\n" in out
 
     def test_audit_random_needs_seed(self):
         code, _ = run_cli(["audit", "--n", "5", "--count", "50"])
