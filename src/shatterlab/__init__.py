@@ -1,11 +1,11 @@
 """Shattering-extremal set systems: construction, verification, and search.
 
-Families over [n] are bitmask tuples; systems pair antichain supports with
-forbidden trace patterns.  The package covers the construction of a family
-from a system, the reverse canonical decomposition, the one-set extension
-(corner-peeling) step with verified certificates, an inclusion-exclusion
-defect, intersection-graph classification, and an exact Groebner-basis
-cross-check of extremality.
+Families over [n] are 2^n-bit integers, one bit per subset; systems pair
+antichain supports with forbidden trace patterns.  The package covers the
+construction of a family from a system, the reverse canonical decomposition,
+the one-set extension (corner-peeling) step with verified certificates, an
+inclusion-exclusion defect, intersection-graph classification, and an exact
+Groebner-basis cross-check of extremality.
 """
 
 from .errors import (

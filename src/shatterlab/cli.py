@@ -102,7 +102,7 @@ def _cmd_check(config, text):
         ("n", fam.n),
         ("family-size", len(fam)),
         ("shattered-size", len(shattered)),
-        ("vc-dimension", max((s.bit_count() for s in shattered), default=None)),
+        ("vc-dimension", max((s.bit_count() for s in shattered.maximal_elements()), default=None)),
         ("down-set", fam.is_down_set()),
         ("up-set", fam.is_up_set()),
         ("s-extremal", extremal),

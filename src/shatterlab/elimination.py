@@ -176,7 +176,7 @@ def peel(fam: SetFamily) -> int | None:
     The removal is re-verified before returning: `is_s_extremal` compares
     |Sh(F)| with |F| on the family without the removed set.
     """
-    if not fam.masks:
+    if not fam.bits:
         raise EmptyInput("cannot peel the empty family")
     if not fam.is_s_extremal():
         raise NotExtremal("family is not extremal")
@@ -242,7 +242,7 @@ def _brute_addable_exists(members: tuple[int, ...], n: int) -> bool:
 def _audit_one(masks: tuple[int, ...], n: int) -> tuple[bool, bool, bool]:
     """(brute addable, witness found, machinery verified) for one extremal family."""
     brute_ok = _brute_addable_exists(masks, n)
-    fam = SetFamily(n, masks)
+    fam = SetFamily.of(n, masks)
     try:
         # augment raises VerificationFailed only after it has found a witness
         certificate = augment(decompose(fam))

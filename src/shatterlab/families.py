@@ -2,12 +2,11 @@
 
 A subset of [n] = {1, ..., n} is encoded as an n-bit mask: bit i-1 set iff
 element i is in the subset.  Elements are 1-based in all I/O, bit positions
-0-based internally.  A family is held as its ascending, deduplicated mask
-tuple `masks` (construction, equality, hashing, iteration, output) and, from
-first use, as one 2^n-bit integer `bits` (bit m set iff m is a member) that
-every set operation works on.  Other modules enter and leave that encoding
-only through `cube_bits`, `trace_bits`, `minimal_non_members`,
-`is_extremal_with`, `masks_of_bits` and `SetFamily.from_bits`.
+0-based internally.  A family is one 2^n-bit integer `bits`, bit m set iff m
+is a member; every set operation works on it, and its ascending mask tuple
+`masks` is decoded only on first use, for output.  Other modules use that
+encoding through `cube_bits`, `trace_bits`, `minimal_non_members`,
+`is_extremal_with`, `masks_of_bits`, `add_member` and `SetFamily(n, bits)`.
 """
 
 from __future__ import annotations
@@ -139,6 +138,19 @@ def is_extremal_with(n: int, bits: int, down: int) -> bool:
         _shatters(n, bits, s) for s in masks_of_bits(minimal_non_members(n, down)))
 
 
+def member_bytes(n: int) -> bytearray:
+    """The empty family over [n] as little-endian bytes, for `add_member`."""
+    check_ground(n)
+    return bytearray(((1 << n) + 7) >> 3)
+
+
+def add_member(members: bytearray, mask: int) -> bool:
+    """Set bit `mask` in O(1), where an int would be copied whole; False if already set."""
+    old = members[mask >> 3]
+    members[mask >> 3] = old | 1 << (mask & 7)
+    return members[mask >> 3] != old
+
+
 def is_antichain(masks: Iterable[int]) -> bool:
     """True iff no mask is a subset of a different one (duplicates fail too)."""
     ms = list(masks)
@@ -151,70 +163,59 @@ def is_antichain(masks: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A canonical set system over [n]: masks strictly ascending, no duplicates."""
+    """A set system over [n] as one 2^n-bit integer: bit m of `bits` set iff m is a member."""
 
     n: int
-    masks: tuple[int, ...]
+    bits: int
 
     def __post_init__(self):
         check_ground(self.n)
-        top = full_mask(self.n)
-        prev = -1
-        for m in self.masks:
-            if m <= prev:
-                raise ShatterlabError("family masks must be strictly ascending (canonical order)")
-            if m & ~top:
-                raise ShatterlabError(f"mask {m} has bits outside ground set [{self.n}]")
-            prev = m
+        if not isinstance(self.bits, int):
+            raise ShatterlabError(f"a family's bitset must be an int, got {type(self.bits).__name__}")
+        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
+            raise ShatterlabError(f"bitset outside the 2^{self.n} subsets of [{self.n}]")
+
+    def __repr__(self) -> str:
+        # hex, not the dataclass default: str() of an int above 4300 digits raises
+        return f"SetFamily({self.n}, {self.bits:#x})"
 
     @classmethod
     def of(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        """Canonicalize arbitrary mask iterables (sorts, deduplicates)."""
-        return cls(n, tuple(sorted(set(masks))))
+        """The family of arbitrary masks, in any order; repeats count once."""
+        members = member_bytes(n)
+        for m in masks:
+            if not 0 <= m < 1 << n:
+                raise ShatterlabError(f"mask {m} has bits outside ground set [{n}]")
+            members[m >> 3] |= 1 << (m & 7)
+        return cls(n, int.from_bytes(members, "little"))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
         """Build from 1-based element lists; duplicate sets are rejected."""
-        masks = [mask_from_elements(s, n) for s in sets]
-        if len(set(masks)) != len(masks):
+        members = member_bytes(n)
+        # every set is validated before a duplicate is reported
+        if not all([add_member(members, mask_from_elements(s, n)) for s in sets]):
             raise ShatterlabError("duplicate sets in family")
-        return cls(n, tuple(sorted(masks)))
-
-    @classmethod
-    def from_bits(cls, n: int, bits: int) -> "SetFamily":
-        """The family whose bitset is `bits` (kept, not re-encoded).
-
-        The decoded masks are ascending and inside [n] by construction, so
-        only `n` and the range of `bits` are checked, not every mask.
-        """
-        check_ground(n)
-        if not 0 <= bits < 1 << (1 << n):
-            raise ShatterlabError(f"bitset outside the 2^{n} subsets of [{n}]")
-        fam = object.__new__(cls)
-        fam.__dict__.update(n=n, masks=masks_of_bits(bits), bits=bits)
-        return fam
+        return cls(n, int.from_bytes(members, "little"))
 
     @classmethod
     def empty(cls, n: int) -> "SetFamily":
-        return cls(n, ())
+        return cls(n, 0)
 
     @classmethod
     def full(cls, n: int) -> "SetFamily":
-        return cls(n, tuple(range(1 << n)))
+        return cls(n, (1 << (1 << n)) - 1)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The members as masks, ascending; decoded from `bits` on first use."""
+        return masks_of_bits(self.bits)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.masks)
-
-    @cached_property
-    def bits(self) -> int:
-        """The family as one 2^n-bit integer: bit m set iff m is a member."""
-        members = bytearray(((1 << self.n) + 7) >> 3)
-        for m in self.masks:
-            members[m >> 3] |= 1 << (m & 7)
-        return int.from_bytes(members, "little")
 
     def __contains__(self, mask: int) -> bool:
         return mask >= 0 and self.bits >> mask & 1 == 1
@@ -224,22 +225,22 @@ class SetFamily:
         return tuple(elements_of_mask(m) for m in self.masks)
 
     def is_full(self) -> bool:
-        return len(self.masks) == 1 << self.n
+        return self.bits.bit_count() == 1 << self.n
 
     def with_member(self, mask: int) -> "SetFamily":
         self._check_mask(mask)
-        return SetFamily.from_bits(self.n, self.bits | 1 << mask)
+        return SetFamily(self.n, self.bits | 1 << mask)
 
     def without_member(self, mask: int) -> "SetFamily":
         """The family minus `mask`; the family itself when `mask` is no member."""
-        return SetFamily.from_bits(self.n, self.bits ^ 1 << mask) if mask in self else self
+        return SetFamily(self.n, self.bits ^ 1 << mask) if mask in self else self
 
     # -- traces and shattering -------------------------------------------
 
     def trace(self, s: int) -> "SetFamily":
         """The family of intersections { F & s : F in self }."""
         self._check_mask(s)
-        return SetFamily.from_bits(self.n, trace_bits(self.n, self.bits, s))
+        return SetFamily(self.n, trace_bits(self.n, self.bits, s))
 
     def is_shattered(self, s: int) -> bool:
         """True iff every subset of s arises as a trace member."""
@@ -248,13 +249,13 @@ class SetFamily:
 
     def shattered_sets(self) -> "SetFamily":
         """All sets shattered by the family (a down-set); see `_shattered_bits`."""
-        return SetFamily.from_bits(self.n, _shattered_bits(self.bits, self.n))
+        return SetFamily(self.n, _shattered_bits(self.bits, self.n))
 
     def vc_dimension(self) -> int | None:
         """Size of the largest shattered set; None for the empty family."""
-        if not self.masks:
+        if not self.bits:
             return None
-        return max(s.bit_count() for s in self.shattered_sets())
+        return max(s.bit_count() for s in self.shattered_sets().maximal_elements())
 
     def is_s_extremal(self) -> bool:
         """Equality case of the shattering lower bound, |Sh(F)| == |F|."""
@@ -275,23 +276,25 @@ class SetFamily:
                    for x, clear in enumerate(_bit_clear_positions(self.n)))
 
     def complement(self) -> "SetFamily":
-        return SetFamily.from_bits(self.n, self.bits ^ (1 << (1 << self.n)) - 1)
+        return SetFamily(self.n, self.bits ^ (1 << (1 << self.n)) - 1)
 
     def minimal_elements(self) -> "SetFamily":
-        """Inclusion-minimal members (an antichain); smaller masks scanned first."""
-        mins = []
-        for m in self.masks:
-            if not any(g & m == g for g in mins):
-                mins.append(m)
-        # a later mask can never be a proper subset of an earlier one
-        return SetFamily(self.n, tuple(mins))
+        """Inclusion-minimal members (an antichain): those with no member below them.
+
+        A, the proper supersets of members, grows one element x at a time:
+        A |= ((A | F) & Z_x) << 2^x adds x to each member and each set of A.
+        """
+        above = 0
+        for x, clear in enumerate(_bit_clear_positions(self.n)):
+            above |= ((above | self.bits) & clear) << (1 << x)
+        return SetFamily(self.n, self.bits & ~above)
 
     def maximal_elements(self) -> "SetFamily":
-        maxs: list[int] = []
-        for m in reversed(self.masks):
-            if not any(m & g == m for g in maxs):
-                maxs.append(m)
-        return SetFamily(self.n, tuple(reversed(maxs)))
+        """Inclusion-maximal members: as `minimal_elements`, removing x, ((B | F) & ~Z_x) >> 2^x."""
+        below = 0
+        for x, clear in enumerate(_bit_clear_positions(self.n)):
+            below |= ((below | self.bits) & ~clear) >> (1 << x)
+        return SetFamily(self.n, self.bits & ~below)
 
     def _check_mask(self, s: int) -> None:
         if s & ~full_mask(self.n):

@@ -13,16 +13,14 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError, ShatterlabError
-from .families import SetFamily, check_ground, elements_of_mask
+from .families import SetFamily, add_member, check_ground, elements_of_mask, member_bytes
 from .sperner import SpernerSystem
 
 
 # -- families ------------------------------------------------------------------
 
 def parse_family_text(text: str) -> SetFamily:
-    n = None
-    masks: list[int] = []
-    seen: set[int] = set()
+    n = members = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -35,15 +33,13 @@ def parse_family_text(text: str) -> SetFamily:
                 n = _ground(int(value.strip()), lineno)
             except ValueError:
                 raise ParseError(f"bad ground set size {value.strip()!r}", lineno) from None
+            members = member_bytes(n)
             continue
-        mask = _parse_set_line(line, n, lineno)
-        if mask in seen:
+        if not add_member(members, _parse_set_line(line, n, lineno)):
             raise ParseError(f"duplicate set {line!r}", lineno)
-        seen.add(mask)
-        masks.append(mask)
     if n is None:
         raise ParseError("missing header line n=<int>")
-    return SetFamily.of(n, masks)
+    return SetFamily(n, int.from_bytes(members, "little"))
 
 
 def _parse_set_line(line: str, n: int, lineno: int) -> int:
@@ -102,23 +98,21 @@ def _object_fields(obj, kind: str, field: str) -> tuple[int, list]:
 
 
 def format_family_text(fam: SetFamily) -> str:
-    lines = [f"n={fam.n}"]
-    for mask in fam.masks:
-        elems = elements_of_mask(mask)
-        lines.append(",".join(str(e) for e in elems) if elems else "-")
+    lines = [f"n={fam.n}"] + [",".join(map(str, elems)) or "-" for elems in fam.sets()]
     return "\n".join(lines) + "\n"
 
 
 def family_to_object(fam: SetFamily) -> dict:
-    return {"n": fam.n, "sets": [list(elements_of_mask(m)) for m in fam.masks]}
+    return {"n": fam.n, "sets": [list(elems) for elems in fam.sets()]}
 
 
 def family_from_object(obj) -> SetFamily:
     n, sets = _object_fields(obj, "family", "sets")
-    masks = [_set_mask(s, n) for s in sets]
-    if len(set(masks)) != len(masks):
+    members = member_bytes(n)
+    # every set is validated before a duplicate is reported
+    if not all([add_member(members, _set_mask(s, n)) for s in sets]):
         raise ParseError("duplicate sets in family")
-    return SetFamily(n, tuple(sorted(masks)))
+    return SetFamily(n, int.from_bytes(members, "little"))
 
 
 def parse_family(text: str) -> SetFamily:

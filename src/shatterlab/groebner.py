@@ -65,17 +65,19 @@ def all_lex_orders(n: int):
 
 
 class Polynomial:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient."""
+    """Sparse multivariate polynomial: exponent tuple of n ints >= 0 -> nonzero int or Fraction."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c != 0:
-                    self.terms[m] = c
+        self.n, self.terms = n, {}
+        for m, c in (terms or {}).items():
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise ShatterlabError(f"coefficient {c!r} is not an int or a Fraction")
+            if type(m) is not tuple or len(m) != n or not all(type(e) is int and e >= 0 for e in m):
+                raise ShatterlabError(f"monomial {m!r} is not a tuple of {n} non-negative ints")
+            if c != 0:
+                self.terms[m] = c
 
     @classmethod
     def from_int_terms(cls, n: int, terms: dict) -> "Polynomial":

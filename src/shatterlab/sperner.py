@@ -63,7 +63,7 @@ class Cube:
         return mask & self.support == self.pattern
 
     def members(self) -> SetFamily:
-        return SetFamily.from_bits(self.n, cube_bits(self.n, self.support, self.pattern))
+        return SetFamily(self.n, cube_bits(self.n, self.support, self.pattern))
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,13 @@ def _outside_cubes(n: int, pairs: Iterable[tuple[int, int]]) -> SetFamily:
     union = 0
     for support, pattern in pairs:
         union |= cube_bits(n, support, pattern)
-    return SetFamily.from_bits(n, cube_bits(n, 0, 0) ^ union)
+    return SetFamily(n, cube_bits(n, 0, 0) ^ union)
 
 
 def missing_patterns(fam: SetFamily, s: int) -> SetFamily:
     """Subsets of s that occur as no trace of the family."""
     traces = fam.trace(s).bits
-    return SetFamily.from_bits(fam.n, cube_bits(fam.n, full_mask(fam.n) ^ s, 0) & ~traces)
+    return SetFamily(fam.n, cube_bits(fam.n, full_mask(fam.n) ^ s, 0) & ~traces)
 
 
 def decompose(fam: SetFamily) -> SpernerSystem:

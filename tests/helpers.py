@@ -76,6 +76,10 @@ def brute_minimal(masks):
     return {m for m in masks if not any(g & m == g and g != m for g in masks)}
 
 
+def brute_maximal(masks):
+    return {m for m in masks if not any(m & g == m and g != m for g in masks)}
+
+
 def brute_addable(masks, n):
     present = set(masks)
     return [f for f in range(1 << n) if f not in present

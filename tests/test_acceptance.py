@@ -187,7 +187,7 @@ def test_criterion_9_sauer_shelah_and_duality_exhaustive():
         extremal = set()
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             if len(fam.shattered_sets()) < len(fam):
                 raise AssertionError(f"shattering bound failed for {masks}")
             if fam.is_s_extremal():

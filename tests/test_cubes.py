@@ -304,7 +304,7 @@ class TestAntichainExtremality:
     def test_equivalence_with_plain_extremality_exhaustive(self, n):
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             anti = fam.shattered_sets().complement().minimal_elements()
             assert fam.is_s_extremal() == is_antichain_extremal(fam, list(anti.masks))
 
@@ -312,6 +312,6 @@ class TestAntichainExtremality:
         n = 4
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             anti = fam.shattered_sets().complement().minimal_elements()
             assert fam.is_s_extremal() == is_antichain_extremal(fam, list(anti.masks))

@@ -175,7 +175,7 @@ class TestAugment:
     def test_non_extremal_families_rejected(self):
         rng = SplitMix64(7)
         non_extremal = [SetFamily.from_sets(2, [[], [1, 2]]), EX_FAMILY.with_member(0)]
-        non_extremal += [SetFamily(n, random_family(rng, n)) for n in (4, 6, 8, 10)]
+        non_extremal += [SetFamily.of(n, random_family(rng, n)) for n in (4, 6, 8, 10)]
         for fam in non_extremal:
             assert not _definitional_is_extremal(fam.masks, fam.n)
             assert not fam.is_s_extremal()
@@ -259,7 +259,7 @@ class TestPeel:
     def test_duality_exhaustive(self, n):
         for bits in range(1, 1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             if not fam.is_s_extremal():
                 continue
             removable = helpers.brute_removable(masks, n)
@@ -274,7 +274,7 @@ class TestPeel:
         n = 4
         for bits in range(1, 1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             if not fam.is_s_extremal():
                 continue
             removed = peel(fam)

@@ -1,12 +1,15 @@
 """Tests for the family primitives: traces, shattering, extremality, order structure."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given
 
 import helpers
-from shatterlab import SetFamily, ShatterlabError, SplitMix64, SpernerSystem, random_family
+from shatterlab import (SetFamily, ShatterlabError, SplitMix64, SpernerSystem, augment, peel,
+                        random_family)
 from shatterlab.elimination import _definitional_is_extremal
 from shatterlab.families import (
     cube_bits,
@@ -51,24 +54,24 @@ class TestConstruction:
         assert EX_FAMILY.sets() == ((1, 2), (3,), (2, 3), (1, 2, 3))
 
     def test_from_bits_keeps_bits(self):
-        fam = SetFamily.from_bits(3, 0b10011001)
-        assert fam == SetFamily(3, (0, 3, 4, 7)) and fam.bits == 0b10011001
-        assert SetFamily.from_bits(0, 1).masks == (0,)
+        fam = SetFamily(3, 0b10011001)
+        assert fam == SetFamily.of(3, (0, 3, 4, 7)) and fam.bits == 0b10011001
+        assert SetFamily(0, 1).masks == (0,)
 
     def test_from_bits_rejects_bad_ground(self):
         for n in (-1, 25):
             with pytest.raises(ShatterlabError, match="ground set size"):
-                SetFamily.from_bits(n, 0)
+                SetFamily(n, 0)
 
     @pytest.mark.parametrize("n, bits", [(0, 2), (2, 1 << 4), (3, -1), (3, 1 << 8 | 1)])
     def test_from_bits_rejects_out_of_range_bitset(self, n, bits):
         with pytest.raises(ShatterlabError, match="bitset outside"):
-            SetFamily.from_bits(n, bits)
+            SetFamily(n, bits)
 
     def test_with_and_without_member(self):
         assert EX_FAMILY.with_member(0) == SetFamily.of(3, EX_FAMILY.masks + (0,))
         assert EX_FAMILY.with_member(0b011) == EX_FAMILY
-        assert EX_FAMILY.without_member(0b011) == SetFamily(3, (0b100, 0b110, 0b111))
+        assert EX_FAMILY.without_member(0b011) == SetFamily.of(3, (0b100, 0b110, 0b111))
         for mask in (-1, -8, 8, 1 << 40):
             with pytest.raises(ShatterlabError, match="outside ground set"):
                 EX_FAMILY.with_member(mask)
@@ -219,21 +222,21 @@ class TestRandomSweeps:
         rng = SplitMix64(0xA5EED + n)
         for _ in range(1000):
             masks = random_family(rng, n)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             assert len(fam.shattered_sets()) >= len(fam)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complement_duality_random(self, n):
         rng = SplitMix64(0xD0A1 + n)
         for _ in range(200):
-            fam = SetFamily(n, random_family(rng, n))
+            fam = SetFamily.of(n, random_family(rng, n))
             assert fam.is_s_extremal() == fam.complement().is_s_extremal()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_complement_duality_exhaustive(self, n):
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             assert fam.is_s_extremal() == fam.complement().is_s_extremal()
 
 
@@ -247,7 +250,7 @@ class TestShatteredSetsAgainstOracles:
         downs = set()
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             shattered = fam.shattered_sets()
             assert shattered.masks == tuple(sorted(helpers.brute_shattered(masks, n)))
             downs.add(shattered)
@@ -329,6 +332,55 @@ class TestShatteredSetsAgainstOracles:
                 assert g is not base or extremal
                 not_extremal += not extremal
         assert not_extremal > 0
+
+
+class TestBitsetRepresentation:
+    """The bitset is the family; masks are decoded only when asked for."""
+
+    def test_bits_is_the_only_stored_family(self):
+        assert [f.name for f in dataclasses.fields(SetFamily)] == ["n", "bits"]
+        fam = SetFamily(3, 0b10011001)
+        assert "masks" not in fam.__dict__
+        assert fam.masks == (0, 3, 4, 7) and "masks" in fam.__dict__
+        for bad in ((0, 3), [0b1001], "9", 9.0, None):
+            with pytest.raises(ShatterlabError, match="must be an int"):
+                SetFamily(3, bad)
+
+    def test_repr_is_the_constructor_call(self):
+        assert repr(SetFamily.of(2, [0, 3])) == "SetFamily(2, 0x9)"
+        # an int of more than 4300 decimal digits has no str(): the
+        # dataclass default repr raised from n = 14 on
+        assert repr(SetFamily.full(16)).startswith("SetFamily(16, 0xffff")
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_minimal_and_maximal_exhaustive(self, n):
+        for bits in range(1 << (1 << n)):
+            fam = SetFamily(n, bits)
+            assert set(fam.minimal_elements().masks) == helpers.brute_minimal(fam.masks)
+            assert set(fam.maximal_elements().masks) == helpers.brute_maximal(fam.masks)
+
+    @given(helpers.families(max_n=8))
+    def test_minimal_and_maximal_against_definition(self, fam):
+        assert set(fam.minimal_elements().masks) == helpers.brute_minimal(fam.masks)
+        assert set(fam.maximal_elements().masks) == helpers.brute_maximal(fam.masks)
+
+    def test_n20_pipeline_never_decodes(self):
+        # the anchored system of the BENCH_*.json rows at n = 20
+        rng = random.Random(6020)
+        supports = set()
+        while len(supports) < 7:
+            supports.add(sum(1 << e for e in rng.sample(range(20), 3)))
+        system = SpernerSystem.from_anchor(20, sorted(supports), rng.getrandbits(20))
+        fam, down = system.family(), system.up_complement()
+        shattered, outside = fam.shattered_sets(), fam.complement()
+        assert len(fam) == len(down) == 463904 and shattered == down
+        cert = augment(system)
+        assert (cert.chosen_member, cert.added_set) == (0b1000010100, 0b1000000001)
+        assert cert.augmented_family.bits == fam.bits | 1 << cert.added_set
+        removed = peel(fam)
+        assert removed == 0b1100000101 and removed in fam
+        for g in (fam, down, shattered, outside, cert.augmented_family):
+            assert "masks" not in g.__dict__
 
 
 def _anchored_extremal(rng, n):

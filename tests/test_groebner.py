@@ -72,6 +72,30 @@ class TestCubePolynomial:
                     assert nonzero == (f & s == h)
 
 
+class TestPolynomialConstructor:
+    def test_float_coefficient_refused_before_division(self):
+        # used to reach normal_form and fail there with a TypeError from Fraction(a, b)
+        with pytest.raises(ShatterlabError, match="coefficient 0.5"):
+            normal_form(Polynomial(1, {(1,): 0.5}), [poly(1, {(1,): 1})], LexOrder.standard(1))
+
+    def test_short_monomial_refused_before_leading_monomial(self):
+        # used to reach LexOrder.key and fail there with an IndexError
+        with pytest.raises(ShatterlabError, match=r"monomial \(1,\) is not a tuple of 3 "):
+            leading_monomial(Polynomial(3, {(1,): 1}), LexOrder.standard(3))
+
+    @pytest.mark.parametrize("n, terms", [
+        (1, {(1,): True}), (1, {(1,): 1.0}), (1, {(1,): "1"}), (1, {(1,): 0.0}),
+        (2, {(1, -1): 1}), (2, {(1, 1.0): 1}), (2, {(1, True): 1}), (2, {"10": 1}),
+    ])
+    def test_refuses_bad_input(self, n, terms):
+        with pytest.raises(ShatterlabError):
+            Polynomial(n, terms)
+
+    def test_keeps_exact_nonzero_terms(self):
+        p = Polynomial(2, {(1, 0): 3, (0, 2): Fraction(1, 2), (0, 0): 0})
+        assert p.terms == {(1, 0): 3, (0, 2): Fraction(1, 2)}
+
+
 class TestLeadingMonomial:
     def test_simple(self):
         assert leading_monomial(poly(3, {(1, 1, 0): 1, (1, 0, 0): -1}), LEX) == (1, 1, 0)
@@ -267,7 +291,7 @@ class TestRank:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_every_pair_exhaustive(self, n):
-        every = [SetFamily(n, tuple(m for m in range(1 << n) if bits >> m & 1))
+        every = [SetFamily.of(n, tuple(m for m in range(1 << n) if bits >> m & 1))
                  for bits in range(1 << (1 << n))]
         for rows in every:
             for cols in every:
@@ -319,7 +343,7 @@ class TestRank:
     def test_extremal_families_have_full_rank_exhaustive(self, n):
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             if masks and fam.is_s_extremal():
                 assert point_evaluation_rank(fam, fam.shattered_sets()) == len(fam)
 

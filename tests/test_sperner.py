@@ -188,7 +188,7 @@ class TestDecompose:
     def test_roundtrip_exhaustive(self, n):
         for bits in range((1 << (1 << n)) - 1):   # skip the full family
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             if not fam.is_s_extremal():
                 continue
             system = decompose(fam)
@@ -202,7 +202,7 @@ class TestDecompose:
         n = 4
         for bits in range((1 << (1 << n)) - 1):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
-            fam = SetFamily(n, masks)
+            fam = SetFamily.of(n, masks)
             if not fam.is_s_extremal():
                 continue
             system = decompose(fam)
