@@ -3,8 +3,15 @@
 
 Checks three identities on each sampled system:
   counting   family size equals down-set size iff extremal with that down-set
-  defect     inclusion-exclusion defect equals the size difference
+  defect     the per-size partial sums of the inclusion-exclusion defect equal
+             the 2^N index-set expansion of tests/helpers.py (the total,
+             |down-set| - |family|, holds by construction of the fast kernel)
   groebner   basis criterion agrees with the counting test (smaller sample)
+
+Run from the repository root with the package on the path and hypothesis
+installed (tests/helpers.py imports it):
+
+    PYTHONPATH=src python3 scripts/random_sweep.py
 
 Any violation is printed and counted; the exit code is the violation count,
 capped at 255 (exit statuses wrap modulo 256).
@@ -13,14 +20,18 @@ capped at 255 (exit statuses wrap modulo 256).
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from shatterlab import (
     LexOrder,
     SplitMix64,
-    extremality_defect,
+    extremality_defect_by_size,
     extremality_groebner_report,
     random_system,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import brute_defect_by_size  # noqa: E402
 
 
 def main():
@@ -47,7 +58,7 @@ def main():
         if counting != extremal:
             violations += 1
             print(f"[{k}] counting mismatch: {system.members}")
-        if extremality_defect(system) != len(down) - len(fam):
+        if extremality_defect_by_size(system) != brute_defect_by_size(system):
             violations += 1
             print(f"[{k}] defect mismatch: {system.members}")
 

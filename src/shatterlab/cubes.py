@@ -6,6 +6,8 @@ union support with the union pattern.  Summing signed cube sizes over the
 non-clique index sets measures how far a system is from extremal: the
 defect equals |up-complement| - |family| and vanishes exactly when the
 system's family is extremal with the full candidate down-set shattered.
+It is counted from cover histograms of the cube bitsets, so it enumerates
+no index sets and has no member cap.
 """
 
 from __future__ import annotations
@@ -19,14 +21,10 @@ from .errors import (
     NotAntichain,
     NotComplete,
     PatternNotInSupport,
-    TooLarge,
     VerificationFailed,
 )
-from .families import SetFamily, is_antichain, is_extremal_with
+from .families import SetFamily, cube_bits, is_antichain, is_extremal_with
 from .sperner import Cube, SpernerSystem
-
-# 2^N index sets are enumerated explicitly
-MAX_DEFECT_MEMBERS = 20
 
 
 def indicator(si: int, hi: int, sj: int, hj: int) -> int:
@@ -51,19 +49,14 @@ def intersect_many(cubes: list[Cube]) -> Cube | None:
     """Common intersection; nonempty iff every pair is compatible."""
     if not cubes:
         raise EmptyInput("need at least one cube")
-    n = cubes[0].n
     for c in cubes[1:]:
-        if c.n != n:
-            raise GroundMismatch(f"cubes over [{n}] and [{c.n}]")
-    support = 0
-    pattern = 0
-    for i, a in enumerate(cubes):
-        for b in cubes[i + 1:]:
-            if not indicator(a.support, a.pattern, b.support, b.pattern):
-                return None
-        support |= a.support
-        pattern |= a.pattern
-    return Cube(n, support, pattern)
+        if c.n != cubes[0].n:
+            raise GroundMismatch(f"cubes over [{cubes[0].n}] and [{c.n}]")
+    common = cubes[0]
+    # a cube meets each of some pairwise-meeting cubes iff it meets their intersection
+    for c in cubes[1:]:
+        common = common and intersect_cubes(common, c)
+    return common
 
 
 def _compatibility_rows(system: SpernerSystem) -> list[int]:
@@ -78,39 +71,53 @@ def _compatibility_rows(system: SpernerSystem) -> list[int]:
     return rows
 
 
+def _cover_histogram(n: int, cubes, size: int) -> list[int]:
+    """hist[c] = number of points of 2^[n] in exactly c of the cube bitsets.
+
+    Counter j holds bit j of each point's cover count (ripple-carry adds).
+    Count values are selected depth-first, skipping empty branches.
+    """
+    counters: list[int] = []
+    for carry in cubes:
+        for j, counter in enumerate(counters):
+            counters[j] = counter ^ carry
+            carry &= counter
+            if not carry:
+                break
+        if carry:
+            counters.append(carry)
+    hist = [0] * (size + 1)
+    stack = [(cube_bits(n, 0, 0), 0, 0)]
+    while stack:
+        points, j, value = stack.pop()
+        if j == len(counters):
+            hist[value] = points.bit_count()
+            continue
+        hit = points & counters[j]
+        for part, v in ((points ^ hit, value), (hit, value | 1 << j)):
+            if part:
+                stack.append((part, j + 1, v))
+    return hist
+
+
 def extremality_defect_by_size(system: SpernerSystem) -> tuple[int, ...]:
     """Signed partial sums of the defect, indexed by index-set size 1..N.
 
     Entry k-1 sums (-1)^k * 2^(n - |union support|) over the k-element index
-    sets that are not cliques of the compatibility relation.  Index sets are
-    enumerated by peeling the lowest member, so union and clique status come
-    incrementally from an already-computed subset.
+    sets that are not cliques of the compatibility relation.  Over all k-sets,
+    cube intersections count each point C(c, k) times, c its cover count.
+    Pattern cubes meet only on cliques, up-cubes (S, S) always, in a cube of
+    the same size.  So entry k-1 is (-1)^k sum_c (u[c] - h[c]) C(c, k) over
+    the two cover histograms: coefficient k of p(x + 1) for
+    p(x) = sum_c (u[c] - h[c]) x^c, all k at once by Horner's rule.
     """
-    members = system.members
-    big_n = len(members)
-    if big_n > MAX_DEFECT_MEMBERS:
-        raise TooLarge(f"{big_n} members exceeds the {MAX_DEFECT_MEMBERS}-member cap")
-    partial = [0] * big_n
-    if big_n == 0:
-        return ()
-    adj = _compatibility_rows(system)
-    supports = [s for s, _ in members]
-    unions = [0] * (1 << big_n)
-    clique = bytearray(1 << big_n)
-    clique[0] = 1
-    n = system.n
-    for idx in range(1, 1 << big_n):
-        low = idx & -idx
-        rest = idx ^ low
-        i = low.bit_length() - 1
-        unions[idx] = unions[rest] | supports[i]
-        ok = clique[rest] and (rest & ~adj[i]) == 0
-        clique[idx] = ok
-        if not ok:
-            k = idx.bit_count()
-            term = 1 << (n - unions[idx].bit_count())
-            partial[k - 1] += term if k % 2 == 0 else -term
-    return tuple(partial)
+    n, members = system.n, system.members
+    h = _cover_histogram(n, (cube_bits(n, s, p) for s, p in members), len(members))
+    u = _cover_histogram(n, (cube_bits(n, s, s) for s, _ in members), len(members))
+    shifted: list[int] = []
+    for c in reversed(range(len(members) + 1)):
+        shifted = [a + b for a, b in zip([u[c] - h[c], *shifted], [*shifted, 0])]
+    return tuple(-v if k % 2 else v for k, v in enumerate(shifted) if k)
 
 
 def extremality_defect(system: SpernerSystem) -> int:
@@ -139,16 +146,8 @@ class IntersectionGraph:
         return self.adjacency[i].bit_count()
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i in range(self.size):
-            row = self.adjacency[i] >> (i + 1)
-            j = i + 1
-            while row:
-                if row & 1:
-                    out.append((i, j))
-                row >>= 1
-                j += 1
-        return tuple(out)
+        return tuple((i, j) for i in range(self.size) for j in range(i + 1, self.size)
+                     if self.adjacency[i] >> j & 1)
 
     def is_complete(self) -> bool:
         full = (1 << self.size) - 1

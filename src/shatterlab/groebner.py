@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import (GroundMismatch, InfiniteStaircase, PatternNotInSupport, ShatterlabError,
                      TooLarge, ZeroPolynomial)
-from .families import SetFamily, cube_bits, submasks
-from .sperner import SpernerSystem
+from .families import MAX_GROUND, SetFamily, cube_bits, submasks
+from .sperner import SpernerSystem, _outside_cubes
 
 Monomial = tuple  # exponent vector of length n
 
@@ -227,6 +226,8 @@ def standard_monomial_count(basis: list[Polynomial], order: LexOrder) -> int:
 
     Finite only when every variable has a pure-power leading monomial
     bounding its exponent; otherwise the staircase is infinite and we refuse.
+    Bounds must be <= 2, as in every report basis: the staircase is then in
+    the {0,1} box, and the count is one popcount of a bitset over 2^[n].
     """
     lead = [leading_monomial(b, order) for b in basis]
     # the order, not the basis, fixes n: no generators over n >= 1 variables
@@ -234,20 +235,19 @@ def standard_monomial_count(basis: list[Polynomial], order: LexOrder) -> int:
     n = len(order.priority)
     if any(all(e == 0 for e in lm) for lm in lead):
         return 0
-    bounds: list[int | None] = [None] * n
+    bounds: dict[int, int] = {}
     for lm in lead:
         nz = [i for i, e in enumerate(lm) if e]
         if len(nz) == 1:
-            i = nz[0]
-            bounds[i] = lm[i] if bounds[i] is None else min(bounds[i], lm[i])
-    missing = [i + 1 for i, b in enumerate(bounds) if b is None]
+            bounds[nz[0]] = min(lm[nz[0]], bounds.get(nz[0], lm[nz[0]]))
+    missing = [i + 1 for i in range(n) if i not in bounds]
     if missing:
         raise InfiniteStaircase(f"no pure-power leading monomial for variables {missing}")
-    count = 0
-    for mono in product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, mono) for lm in lead):
-            count += 1
-    return count
+    if n > MAX_GROUND or max(bounds.values(), default=0) > 2:
+        raise TooLarge(f"staircase count needs exponent bounds <= 2 "
+                       f"and at most {MAX_GROUND} variables")
+    squarefree = {sum(1 << i for i, e in enumerate(lm) if e) for lm in lead if max(lm) == 1}
+    return len(_outside_cubes(n, [(t, t) for t in squarefree]))
 
 
 # -- exact linear algebra ------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from shatterlab import SetFamily, SpernerSystem
+from shatterlab import InfiniteStaircase, SetFamily, SpernerSystem, indicator, leading_monomial
 
 
 # -- definitional oracles -------------------------------------------------------
@@ -98,6 +98,52 @@ def brute_witnesses(n, pairs):
             if all(f & sj != hj for j, (sj, hj) in enumerate(pairs) if j != i):
                 out.append((i, f))
     return out
+
+
+def brute_defect_by_size(system):
+    """Defect partial sums by enumerating all 2^N index sets.
+
+    Every term is recomputed from scratch: no unions or clique bits carried over.
+    """
+    members = system.members
+    n, big_n = system.n, len(members)
+    naive = [0] * big_n
+    for bits in range(1, 1 << big_n):
+        chosen = [members[i] for i in range(big_n) if bits >> i & 1]
+        clique = all(indicator(si, hi, sj, hj)
+                     for a, (si, hi) in enumerate(chosen)
+                     for (sj, hj) in chosen[a + 1:])
+        if clique:
+            continue
+        union = 0
+        for s, _ in chosen:
+            union |= s
+        k = len(chosen)
+        term = 1 << (n - union.bit_count())
+        naive[k - 1] += term if k % 2 == 0 else -term
+    return tuple(naive)
+
+
+def brute_standard_monomial_count(basis, order):
+    """Standard monomials by walking the whole box of pure-power bounds."""
+    from itertools import product
+    lead = [leading_monomial(b, order) for b in basis]
+    n = len(order.priority)
+    if any(all(e == 0 for e in lm) for lm in lead):
+        return 0
+    bounds = [None] * n
+    for lm in lead:
+        nz = [i for i, e in enumerate(lm) if e]
+        if len(nz) == 1:
+            i = nz[0]
+            bounds[i] = lm[i] if bounds[i] is None else min(bounds[i], lm[i])
+    if None in bounds:
+        raise InfiniteStaircase("a variable has no pure-power leading monomial")
+    count = 0
+    for mono in product(*(range(b) for b in bounds)):
+        if not any(all(x <= y for x, y in zip(lm, mono)) for lm in lead):
+            count += 1
+    return count
 
 
 def fraction_rank(matrix):

@@ -1,5 +1,7 @@
 """Tests for cube intersections, the defect sum, and the intersection graph."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,7 +17,6 @@ from shatterlab import (
     PatternNotInSupport,
     SetFamily,
     SpernerSystem,
-    TooLarge,
     classify_graph,
     extremality_defect,
     extremality_defect_by_size,
@@ -155,32 +156,47 @@ class TestDefect:
     def test_empty_system(self):
         assert extremality_defect(SpernerSystem.of(3, [])) == 0
 
-    @given(helpers.systems(max_n=6, max_members=5))
+    @settings(max_examples=200)
+    @given(helpers.systems(max_n=8, max_members=10))
     def test_partial_sums_match_naive_expansion(self, system):
-        # recompute every term from scratch: no unions or clique bits carried over
-        members = system.members
-        n, big_n = system.n, len(members)
-        naive = [0] * big_n
-        for bits in range(1, 1 << big_n):
-            chosen = [members[i] for i in range(big_n) if bits >> i & 1]
-            clique = all(indicator(si, hi, sj, hj)
-                         for a, (si, hi) in enumerate(chosen)
-                         for (sj, hj) in chosen[a + 1:])
-            if clique:
-                continue
-            union = 0
-            for s, _ in chosen:
-                union |= s
-            k = len(chosen)
-            term = 1 << (n - union.bit_count())
-            naive[k - 1] += term if k % 2 == 0 else -term
-        assert extremality_defect_by_size(system) == tuple(naive)
+        assert extremality_defect_by_size(system) == helpers.brute_defect_by_size(system)
 
-    def test_member_cap(self):
-        supports = [1 << i for i in range(21)]
-        system = SpernerSystem.from_anchor(21, supports, 0)
-        with pytest.raises(TooLarge):
-            extremality_defect(system)
+    def test_partial_sums_match_naive_expansion_exhaustive(self):
+        for supports in helpers.all_small_antichains(3, 3):
+            for patterns in helpers.all_pattern_assignments(supports):
+                system = SpernerSystem.of(3, list(zip(supports, patterns)))
+                assert extremality_defect_by_size(system) == helpers.brute_defect_by_size(system)
+
+    @staticmethod
+    def _check_large(system):
+        # identities that need no 2^N enumeration
+        partial = extremality_defect_by_size(system)
+        assert len(partial) == len(system.members)
+        assert sum(partial) == len(system.up_complement()) - len(system.family())
+        assert partial[0] == 0
+        pairs = sum(1 << (system.n - (si | sj).bit_count())
+                    for a, (si, hi) in enumerate(system.members)
+                    for (sj, hj) in system.members[a + 1:]
+                    if not indicator(si, hi, sj, hj))
+        assert partial[1] == pairs
+        return partial
+
+    @staticmethod
+    def _random_system(seed, n, size, members):
+        rng = random.Random(seed)
+        supports = rng.sample([s for s in range(1 << n) if s.bit_count() == size], members)
+        return SpernerSystem.of(n, [(s, s & rng.getrandbits(n)) for s in supports])
+
+    def test_twenty_one_members(self):
+        partial = self._check_large(self._random_system(21, 12, 4, 21))
+        assert any(partial)
+        # the system the old 20-member cap refused: disjoint supports always meet
+        system = SpernerSystem.from_anchor(21, [1 << i for i in range(21)], 0)
+        assert self._check_large(system) == (0,) * 21
+
+    def test_two_hundred_members_at_n16(self):
+        partial = self._check_large(self._random_system(200, 16, 6, 200))
+        assert sum(partial) > 0
 
 
 class TestIntersectionGraph:

@@ -275,6 +275,41 @@ class TestStandardMonomials:
         assert standard_monomial_count([], LexOrder.standard(0)) == 1
 
 
+class TestStandardMonomialsAgainstBox:
+    @staticmethod
+    @st.composite
+    def bases(draw):
+        """Field equations plus random squarefree and x_i^2 polynomials, under a lex order."""
+        n = draw(st.integers(1, 5))
+        order = LexOrder(tuple(draw(st.permutations(range(n)))))
+        exponents = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        with_square = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+            lambda m: 2 in m)
+        coeffs = st.integers(-3, 3).filter(bool)
+        extra = draw(st.lists(
+            st.dictionaries(st.one_of(exponents, with_square).map(tuple), coeffs,
+                            min_size=1, max_size=4),
+            max_size=5))
+        basis = field_equations(n) + [poly(n, terms) for terms in extra]
+        return draw(st.permutations(basis)), order
+
+    @given(bases())
+    def test_matches_box_enumeration(self, pair):
+        basis, order = pair
+        assert standard_monomial_count(basis, order) == \
+            helpers.brute_standard_monomial_count(basis, order)
+
+    def test_cube_bound_is_refused(self):
+        with pytest.raises(TooLarge):
+            standard_monomial_count([poly(1, {(3,): 1})], LexOrder.standard(1))
+        with pytest.raises(TooLarge):
+            standard_monomial_count([poly(2, {(3, 0): 1, (0, 0): -1}), poly(2, {(0, 2): 1})],
+                                    LexOrder.standard(2))
+        # a 2^25-bit staircase is refused up front, not built
+        with pytest.raises(TooLarge):
+            standard_monomial_count(field_equations(25), LexOrder.standard(25))
+
+
 class TestRank:
     def test_example_square_matrix(self):
         points = SetFamily.of(3, [0b011, 0b100, 0b110, 0b111])
