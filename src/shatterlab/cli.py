@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .cubes import (
     classify_graph,
@@ -74,10 +75,49 @@ def _text_only(key: str, value) -> tuple:
     return None, None, [f"{key}: {_text(value)}"]
 
 
+# how json encodes each scalar type of a report inside a container
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """What `json.dumps` writes for `value` with a two-space indent, byte for byte.
+
+    `indent` is the line break and indent that precede `value`.  json runs
+    its pure-Python encoder whenever it indents; here the report scalars
+    are encoded by exact type, a list of exact ints is one join, and
+    anything else that is not a container goes through `json.dumps`.
+    """
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        # bool is an int subclass and prints as true/false, so exact ints only
+        items = map(str, value) if {*map(type, value)} == {int} else \
+            (_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # a non-str key prints as json prints it in a one-key object
+        return "{" + inner + ("," + inner).join(
+            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4])
+            + ": " + _json(v, inner) for k, v in value.items()) + indent + "}"
+    return json.dumps(value)
+
+
 def _emit(rows: list[tuple], fmt: str) -> str:
     if fmt == "structured":
         obj = {key.replace("-", "_"): value for key, value, *_ in rows if key is not None}
-        return json.dumps(obj, indent=2) + "\n"
+        return _json(obj) + "\n"
     out = []
     for key, value, *text in rows:
         out += text[0] if text else [f"{key}: {_text(value)}"]
@@ -112,13 +152,13 @@ def _cmd_check(config, text):
 def _cmd_decompose(config, text):
     system = decompose(parse_family(text))
     # the interchange encoding doubles as the text report
-    return OK, json.dumps(system_to_object(system), indent=2) + "\n"
+    return OK, _json(system_to_object(system)) + "\n"
 
 
 def _cmd_construct(config, text):
     fam = parse_system(text).family()
     if config.format == "structured":
-        return OK, json.dumps(family_to_object(fam), indent=2) + "\n"
+        return OK, _json(family_to_object(fam)) + "\n"
     return OK, format_family_text(fam)
 
 

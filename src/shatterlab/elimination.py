@@ -214,19 +214,19 @@ class AuditReport:
                 and self.machinery_failures == 0 and self.disagreements == 0)
 
 
-def _definitional_shattered_count(members: tuple[int, ...], n: int) -> int:
-    # straight from the definition, no pruning: independent of the library path
+def _definitional_is_extremal(members: tuple[int, ...], n: int) -> bool:
+    # straight from the definition, independent of the library path: count
+    # the shattered sets, and stop once they outnumber the members (Pajor's
+    # bound makes |Sh(F)| >= |F|, so equality is the only way to extremal)
+    if not members:
+        return True
     count = 0
     for s in range(1 << n):
         if len({m & s for m in members}) == 1 << s.bit_count():
             count += 1
-    return count
-
-
-def _definitional_is_extremal(members: tuple[int, ...], n: int) -> bool:
-    if not members:
-        return True
-    return _definitional_shattered_count(members, n) == len(members)
+            if count > len(members):
+                return False
+    return count == len(members)
 
 
 def _brute_addable_exists(members: tuple[int, ...], n: int) -> bool:

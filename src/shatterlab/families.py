@@ -6,7 +6,8 @@ element i is in the subset.  Elements are 1-based in all I/O, bit positions
 is a member; every set operation works on it, and its ascending mask tuple
 `masks` is decoded only on first use, for output.  Other modules use that
 encoding through `cube_bits`, `trace_bits`, `minimal_non_members`,
-`is_extremal_with`, `masks_of_bits`, `add_member` and `SetFamily(n, bits)`.
+`is_extremal_with`, `masks_of_bits`, `add_member` and `SetFamily(n, bits)`;
+`half_tables` decodes masks for output.
 """
 
 from __future__ import annotations
@@ -50,6 +51,22 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
+def half_tables(n: int) -> tuple[int, tuple, tuple, tuple, tuple]:
+    """Decode tables for the masks over [n], split at h = n // 2.
+
+    Returns (h, low, high, low_text, high_text): `low[m & (2^h - 1)] +
+    high[m >> h]` is `elements_of_mask(m)`, and the same sum of the text
+    tables is its comma-separated form with one leading comma.
+    """
+    h = n // 2
+    low = tuple(map(elements_of_mask, range(1 << h)))
+    high = tuple(tuple(e + h for e in elements_of_mask(m)) for m in range(1 << (n - h)))
+    def text(table):
+        return tuple("".join(f",{e}" for e in elems) for elems in table)
+    return h, low, high, text(low), text(high)
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask` in ascending integer order."""
     sub = 0
@@ -83,12 +100,21 @@ def masks_of_bits(bits: int) -> tuple[int, ...]:
                  for i in _BYTE_POSITIONS[byte])
 
 
+@cache
+def _bit_halves(n: int) -> tuple[tuple[int, int], ...]:
+    """(Z_x, its complement) for each bit x < n: the masks without x and those with x."""
+    full = (1 << (1 << n)) - 1
+    return tuple((clear, full ^ clear) for clear in _bit_clear_positions(n))
+
+
 def cube_bits(n: int, support: int, pattern: int) -> int:
     """Bitset of the masks m over [n] with m & support == pattern."""
     bits = (1 << (1 << n)) - 1
-    for x, clear in enumerate(_bit_clear_positions(n)):
-        if support & 1 << x:
-            bits &= ~clear if pattern & 1 << x else clear
+    halves = _bit_halves(n)
+    while support:
+        low = support & -support
+        bits &= halves[low.bit_length() - 1][pattern & low != 0]
+        support ^= low
     return bits
 
 
@@ -222,7 +248,9 @@ class SetFamily:
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as 1-based element tuples, canonical order."""
-        return tuple(elements_of_mask(m) for m in self.masks)
+        h, low, high, _, _ = half_tables(self.n)
+        below = (1 << h) - 1
+        return tuple([low[m & below] + high[m >> h] for m in self.masks])
 
     def is_full(self) -> bool:
         return self.bits.bit_count() == 1 << self.n

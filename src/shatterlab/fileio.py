@@ -11,34 +11,49 @@ values.
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from .errors import ParseError, ShatterlabError
-from .families import SetFamily, add_member, check_ground, elements_of_mask, member_bytes
+from .families import (
+    SetFamily,
+    add_member,
+    check_ground,
+    elements_of_mask,
+    half_tables,
+    member_bytes,
+)
 from .sperner import SpernerSystem
 
 
 # -- families ------------------------------------------------------------------
 
 def parse_family_text(text: str) -> SetFamily:
-    n = members = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            key, eq, value = line.partition("=")
-            if key.strip() != "n" or not eq:
-                raise ParseError("expected header n=<int> before any set line", lineno)
-            try:
-                n = _ground(int(value.strip()), lineno)
-            except ValueError:
-                raise ParseError(f"bad ground set size {value.strip()!r}", lineno) from None
-            members = member_bytes(n)
-            continue
-        if not add_member(members, _parse_set_line(line, n, lineno)):
-            raise ParseError(f"duplicate set {line!r}", lineno)
-    if n is None:
+        if line and not line.startswith("#"):
+            break
+    else:
         raise ParseError("missing header line n=<int>")
+    key, eq, value = line.partition("=")
+    if key.strip() != "n" or not eq:
+        raise ParseError("expected header n=<int> before any set line", lineno)
+    try:
+        n = _ground(int(value.strip()), lineno)
+    except ValueError:
+        raise ParseError(f"bad ground set size {value.strip()!r}", lineno) from None
+    members, bit = member_bytes(n), _element_bit(n)
+    for lineno, line in lines:
+        # a canonical set line hits the memo as it stands; any other line is
+        # stripped, skipped when blank or a comment, and parsed from scratch
+        mask = _memo_mask(line.split(","), bit)
+        if mask is None:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            mask = _parse_set_line(line, n, lineno)
+        if not add_member(members, mask):
+            raise ParseError(f"duplicate set {line!r}", lineno)
     return SetFamily(n, int.from_bytes(members, "little"))
 
 
@@ -67,6 +82,30 @@ def _ground(n: int, line=None) -> int:
     except ShatterlabError as exc:
         raise ParseError(str(exc), line) from None
     return n
+
+
+@cache
+def _element_bit(n: int):
+    """Lookup from element e of [n], as the text token str(e) or as the int e, to its bit.
+
+    A memo of `_parse_set_line` and `_set_mask` on the sets they accept
+    whose elements are written canonically; see `_memo_mask`.
+    """
+    return {key: 1 << (e - 1) for e in range(1, n + 1) for key in (e, str(e))}.__getitem__
+
+
+def _memo_mask(keys: list, bit) -> int | None:
+    """The mask of a set whose elements `keys` all hit the memo `bit`; None on a miss.
+
+    The keys' bits sum to a mask with one bit per key iff no key repeats.
+    None sends the set to `_parse_set_line` or `_set_mask`, which accept it
+    or give the error message.
+    """
+    try:
+        mask = sum(map(bit, keys))
+    except KeyError:
+        return None
+    return mask if mask.bit_count() == len(keys) else None
 
 
 def _set_mask(elements, n: int, line=None) -> int:
@@ -98,7 +137,9 @@ def _object_fields(obj, kind: str, field: str) -> tuple[int, list]:
 
 
 def format_family_text(fam: SetFamily) -> str:
-    lines = [f"n={fam.n}"] + [",".join(map(str, elems)) or "-" for elems in fam.sets()]
+    h, _, _, low, high = half_tables(fam.n)
+    below = (1 << h) - 1
+    lines = [f"n={fam.n}"] + [(low[m & below] + high[m >> h])[1:] or "-" for m in fam.masks]
     return "\n".join(lines) + "\n"
 
 
@@ -108,11 +149,20 @@ def family_to_object(fam: SetFamily) -> dict:
 
 def family_from_object(obj) -> SetFamily:
     n, sets = _object_fields(obj, "family", "sets")
-    members = member_bytes(n)
+    members, bit = member_bytes(n), _element_bit(n)
     # every set is validated before a duplicate is reported
-    if not all([add_member(members, _set_mask(s, n)) for s in sets]):
+    if not all([add_member(members, _json_set_mask(s, n, bit)) for s in sets]):
         raise ParseError("duplicate sets in family")
     return SetFamily(n, int.from_bytes(members, "little"))
+
+
+def _json_set_mask(elements, n: int, bit) -> int:
+    # True and 1.0 hash like 1, so only lists of exact ints may use the memo
+    if type(elements) is list and {*map(type, elements)} <= {int}:
+        mask = _memo_mask(elements, bit)
+        if mask is not None:
+            return mask
+    return _set_mask(elements, n)
 
 
 def parse_family(text: str) -> SetFamily:

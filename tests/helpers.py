@@ -167,6 +167,38 @@ def fraction_rank(matrix):
     return rank
 
 
+def reference_parse_set_lines(n, lines):
+    """Masks of set lines over [n] (header on line 1), ascending, or the first error message.
+
+    Each line is stripped; blank lines and ``#`` comments are skipped, ``-``
+    is the empty set, and every other line is comma-separated tokens, each
+    stripped and read by `int()`; all tokens are read before any is range
+    checked.
+    """
+    seen = set()
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        elements = []
+        for piece in ([] if line == "-" else line.split(",")):
+            try:
+                elements.append(int(piece.strip()))
+            except ValueError:
+                return f"line {lineno}: bad element {piece.strip()!r}"
+        mask = 0
+        for e in elements:
+            if not 1 <= e <= n:
+                return f"line {lineno}: element {e} outside ground set [{n}]"
+            if mask & 1 << (e - 1):
+                return f"line {lineno}: repeated element {e}"
+            mask |= 1 << (e - 1)
+        if mask in seen:
+            return f"line {lineno}: duplicate set {line!r}"
+        seen.add(mask)
+    return tuple(sorted(seen))
+
+
 def minimalize(masks):
     mins = []
     for m in sorted(set(masks)):

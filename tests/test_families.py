@@ -255,7 +255,8 @@ class TestShatteredSetsAgainstOracles:
             assert shattered.masks == tuple(sorted(helpers.brute_shattered(masks, n)))
             downs.add(shattered)
             extremal = _definitional_is_extremal(masks, n)
-            assert extremal == fam.is_s_extremal() == is_extremal_with(n, bits, shattered.bits)
+            assert extremal == helpers.brute_is_extremal(masks, n) == fam.is_s_extremal() \
+                == is_extremal_with(n, bits, shattered.bits)
             assert fam.is_down_set() == helpers.brute_is_down_set(masks, n)
             assert fam.is_up_set() == helpers.brute_is_up_set(masks, n)
             assert fam.complement().masks == tuple(sorted(set(everything).difference(masks)))

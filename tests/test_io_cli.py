@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from shatterlab import ParseError, SetFamily
-from shatterlab.cli import RunConfig, main, run
+from shatterlab.cli import RunConfig, _json, main, run
 from shatterlab.fileio import (
     family_from_object,
     family_to_object,
@@ -86,6 +87,41 @@ class TestFamilyText:
         with pytest.raises(ParseError, match="line 3"):
             parse_family_text("n=2\n1\n7\n")
 
+    @pytest.mark.parametrize("line, mask", [
+        ("01", 0b01), (" 1 , 2 ", 0b11), ("+1", 0b01), ("2 ,01", 0b11), ("\u0661", 0b01),
+    ])
+    def test_non_canonical_tokens_accepted(self, line, mask):
+        # int() reads each stripped token; canonical spelling is not required
+        assert parse_family_text(f"n=2\n{line}\n").masks == (mask,)
+        with pytest.raises(ParseError) as info:
+            parse_family_text(f"n=2\n{line}\n{line}\n")
+        assert str(info.value) == f"line 3: duplicate set {line.strip()!r}"
+
+    @pytest.mark.parametrize("sets, message", [
+        ([[1.0]], "bad element 1.0"),
+        ([[1, True]], "bad element True"),
+        ([[2, 1, 2]], "repeated element 2"),
+        ([[1], [3]], "element 3 outside ground set [2]"),
+        ([[0]], "element 0 outside ground set [2]"),
+    ])
+    def test_json_elements_refused(self, sets, message):
+        # True and 1.0 compare equal to 1, yet they are not elements
+        with pytest.raises(ParseError) as info:
+            parse_family(json.dumps({"n": 2, "sets": sets}))
+        assert str(info.value) == message
+
+    @given(st.integers(0, 6), st.lists(
+        st.text(alphabet="0123456789,-+ _", max_size=8)
+        | st.lists(st.integers(0, 7), min_size=1, max_size=4).map(lambda es: ",".join(map(str, es))),
+        max_size=6))
+    def test_set_lines_match_int_reference(self, n, lines):
+        text = f"n={n}\n" + "\n".join(lines) + "\n"
+        try:
+            got = parse_family_text(text).masks
+        except ParseError as exc:
+            got = str(exc)
+        assert got == helpers.reference_parse_set_lines(n, lines)
+
 
 class TestStructuredFormats:
     def test_family_object_roundtrip(self):
@@ -125,6 +161,36 @@ class TestStructuredFormats:
             family_from_object({"n": 2})
         with pytest.raises(ParseError):
             system_from_object({"members": []})
+
+
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80) | st.text(max_size=4)
+    | st.lists(st.integers(-3, 3) | st.booleans(), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    @given(_REPORT_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1: [], None: {}, True: 0, 2.5: "x", "\u00e9": [True, 1]},
+        (1, (2,), ()),
+        [1.0, -0.0, float("inf")],
+        "\ud800",
+        {"a": {"b": [[1, 2], [False]]}},
+    ])
+    def test_edge_cases(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    def test_refuses_what_json_refuses(self):
+        for value in ({(1,): 0}, [object()]):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                _json(value)
 
 
 def run_cli(argv, stdin_text=""):
