@@ -8,7 +8,9 @@ same bytes.
 Each command builds its report once, as ordered rows ``(key, value)`` that
 `_emit` renders as ``key: value`` lines or as JSON keyed by the row key with
 ``-`` read as ``_``.  Rows with a non-generic text form carry their text lines
-third (``[]``: JSON only); `_text_only` rows stay out of the JSON.
+third (``[]``: JSON only); `_text_only` rows stay out of the JSON.  A family
+value is the `SetFamily` itself, written from its bitset as JSON (compact in
+text reports) with one string per member.
 """
 
 from __future__ import annotations
@@ -27,21 +29,17 @@ from .cubes import (
 )
 from .elimination import audit_conjecture, augment, peel
 from .errors import FullFamily, NotExtremal, ParseError, ShatterlabError
-from .families import elements_of_mask
-from .fileio import (
+from .families import SetFamily, elements_of_mask
+from .fileio import (  # noqa: F401 -- the plain-data serializers stay importable here
     certificate_to_object,
     family_to_object,
     format_family_text,
+    member_texts,
     parse_family,
     parse_system,
     system_to_object,
 )
-from .groebner import (
-    LexOrder,
-    extremality_groebner_report,
-    format_polynomial,
-    system_generators,
-)
+from .groebner import LexOrder, extremality_groebner_report, format_polynomial
 from .sperner import decompose
 
 OK, PROPERTY_FALSE, USAGE_ERROR = 0, 2, 1
@@ -68,6 +66,8 @@ def _text(value) -> str:
         return ",".join(str(v) for v in value) or "-"
     if isinstance(value, dict):
         return json.dumps(value)
+    if isinstance(value, SetFamily):
+        return _family_json(value)
     return str(value)
 
 
@@ -89,12 +89,15 @@ def _json(value, indent: str = "\n") -> str:
 
     `indent` is the line break and indent that precede `value`.  json runs
     its pure-Python encoder whenever it indents; here the report scalars
-    are encoded by exact type, a list of exact ints is one join, and
-    anything else that is not a container goes through `json.dumps`.
+    are encoded by exact type, a list of exact ints is one join, a family
+    is written from its bitset by `_family_json`, and anything else that is
+    not a container goes through `json.dumps`.
     """
     encode = _JSON_SCALARS.get(type(value))
     if encode is not None:
         return encode(value)
+    if isinstance(value, SetFamily):
+        return _family_json(value, indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -112,6 +115,42 @@ def _json(value, indent: str = "\n") -> str:
             (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4])
             + ": " + _json(v, inner) for k, v in value.items()) + indent + "}"
     return json.dumps(value)
+
+
+def _layout(indent: str | None, depth: int) -> tuple[str, str, str]:
+    """What json writes after an opening bracket, between two items and before
+    a closing bracket, in a container `depth` levels inside a value that
+    follows `indent` (None: no indent, json's default separators)."""
+    if indent is None:
+        return "", ", ", ""
+    inner = indent + "  " * (depth + 1)
+    return inner, "," + inner, inner[:-2]
+
+
+def _family_json(fam: SetFamily, indent: str | None = None) -> str:
+    """`json.dumps(family_to_object(fam))` byte for byte, or with a line break
+    and indent `indent` before `fam`, its `indent=2` form.
+
+    Each member is one string from `member_texts`; the brackets between the
+    sets are the separator of one join, and the text around them goes into
+    the first and last string, so the report is copied once.
+    """
+    (open0, sep0, close0), (open1, sep1, close1), (open2, sep2, close2) = (
+        _layout(indent, depth) for depth in range(3))
+    head = "{" + open0 + '"n": ' + str(fam.n) + sep0 + '"sets": ['
+    tail = "]" + close0 + "}"
+    texts = member_texts(fam, sep2)
+    if fam.bits & 1:
+        # json writes the empty set, the first member, as [] at any indent
+        del texts[0]
+        head += open1 + "[]" + (sep1 if texts else close1)
+    elif texts:
+        head += open1
+    if not texts:
+        return head + tail
+    texts[0] = head + "[" + open2 + texts[0]
+    texts[-1] += close2 + "]" + close1 + tail
+    return (close2 + "]" + sep1 + "[" + open2).join(texts)
 
 
 def _emit(rows: list[tuple], fmt: str) -> str:
@@ -158,7 +197,7 @@ def _cmd_decompose(config, text):
 def _cmd_construct(config, text):
     fam = parse_system(text).family()
     if config.format == "structured":
-        return OK, _json(family_to_object(fam)) + "\n"
+        return OK, _json(fam) + "\n"
     return OK, format_family_text(fam)
 
 
@@ -192,9 +231,11 @@ def _cmd_augment(config, text):
     certificate = augment(parse_system(text))
     if certificate is None:
         return PROPERTY_FALSE, [("witness", None)]
-    rows = [(key.replace("_", "-"), value)
-            for key, value in certificate_to_object(certificate).items()]
-    return OK, rows + [
+    return OK, [
+        ("chosen-member", list(elements_of_mask(certificate.chosen_member))),
+        ("added-set", list(elements_of_mask(certificate.added_set))),
+        ("successor", system_to_object(certificate.successor)),
+        ("augmented-family", certificate.augmented_family),
         _text_only("family-size", len(certificate.augmented_family)),
         _text_only("s-extremal", True),
     ]
@@ -208,7 +249,7 @@ def _cmd_peel(config, text):
     remaining = fam.without_member(removed)
     return OK, [
         ("removed-set", list(elements_of_mask(removed))),
-        ("remaining-family", family_to_object(remaining)),
+        ("remaining-family", remaining),
         _text_only("family-size", len(remaining)),
         ("s-extremal", True),
     ]
@@ -222,7 +263,7 @@ def _cmd_groebner(config, text):
             + (",".join(str(v + 1) for v in config.order) or "-"))
     order = LexOrder(config.order) if config.order else LexOrder.standard(system.n)
     report = extremality_groebner_report(system, order)
-    gens = [format_polynomial(g, order) for g in system_generators(system)]
+    gens = [format_polynomial(g, order) for g in report.generators]
     good = report.counting_equal and report.groebner and report.rank_full and report.equivalence_holds
     return (OK if good else PROPERTY_FALSE), [
         ("n", system.n),

@@ -52,19 +52,22 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
 
 
 @cache
-def half_tables(n: int) -> tuple[int, tuple, tuple, tuple, tuple]:
+def half_tables(n: int, sep: str | None = None) -> tuple[int, tuple, tuple]:
     """Decode tables for the masks over [n], split at h = n // 2.
 
-    Returns (h, low, high, low_text, high_text): `low[m & (2^h - 1)] +
-    high[m >> h]` is `elements_of_mask(m)`, and the same sum of the text
-    tables is its comma-separated form with one leading comma.
+    Returns (h, low, high): `low[m & (2^h - 1)] + high[m >> h]` is
+    `elements_of_mask(m)`; with a separator `sep` it is the string that
+    writes each element of m after `sep`.
     """
     h = n // 2
+    if sep is not None:
+        _, low, high = half_tables(n)
+        def text(table):
+            return tuple("".join(f"{sep}{e}" for e in elems) for elems in table)
+        return h, text(low), text(high)
     low = tuple(map(elements_of_mask, range(1 << h)))
     high = tuple(tuple(e + h for e in elements_of_mask(m)) for m in range(1 << (n - h)))
-    def text(table):
-        return tuple("".join(f",{e}" for e in elems) for elems in table)
-    return h, low, high, text(low), text(high)
+    return h, low, high
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -248,7 +251,7 @@ class SetFamily:
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as 1-based element tuples, canonical order."""
-        h, low, high, _, _ = half_tables(self.n)
+        h, low, high = half_tables(self.n)
         below = (1 << h) - 1
         return tuple([low[m & below] + high[m >> h] for m in self.masks])
 

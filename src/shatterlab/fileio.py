@@ -11,7 +11,9 @@ values.
 from __future__ import annotations
 
 import json
+from array import array
 from functools import cache
+from itertools import chain, repeat
 
 from .errors import ParseError, ShatterlabError
 from .families import (
@@ -89,7 +91,8 @@ def _element_bit(n: int):
     """Lookup from element e of [n], as the text token str(e) or as the int e, to its bit.
 
     A memo of `_parse_set_line` and `_set_mask` on the sets they accept
-    whose elements are written canonically; see `_memo_mask`.
+    whose elements are canonical tokens or exact ints; see `_memo_mask` and
+    `family_from_object`.
     """
     return {key: 1 << (e - 1) for e in range(1, n + 1) for key in (e, str(e))}.__getitem__
 
@@ -98,8 +101,8 @@ def _memo_mask(keys: list, bit) -> int | None:
     """The mask of a set whose elements `keys` all hit the memo `bit`; None on a miss.
 
     The keys' bits sum to a mask with one bit per key iff no key repeats.
-    None sends the set to `_parse_set_line` or `_set_mask`, which accept it
-    or give the error message.
+    None sends the line to `_parse_set_line`, which accepts it or gives the
+    error message.
     """
     try:
         mask = sum(map(bit, keys))
@@ -136,11 +139,22 @@ def _object_fields(obj, kind: str, field: str) -> tuple[int, list]:
     return _ground(n), items
 
 
+def member_texts(fam: SetFamily, sep: str) -> list[str]:
+    """Each member of `fam`, ascending, as its elements joined by `sep`.
+
+    Two lookups in the cached tables of (n, sep), one concatenation and one
+    slice per member; no element tuple or list is built.
+    """
+    h, low, high = half_tables(fam.n, sep)
+    below, skip = (1 << h) - 1, len(sep)
+    return [(low[m & below] + high[m >> h])[skip:] for m in fam.masks]
+
+
 def format_family_text(fam: SetFamily) -> str:
-    h, _, _, low, high = half_tables(fam.n)
-    below = (1 << h) - 1
-    lines = [f"n={fam.n}"] + [(low[m & below] + high[m >> h])[1:] or "-" for m in fam.masks]
-    return "\n".join(lines) + "\n"
+    lines = member_texts(fam, ",")
+    if fam.bits & 1:
+        lines[0] = "-"  # the empty set, always the first member
+    return "\n".join([f"n={fam.n}", *lines, ""])
 
 
 def family_to_object(fam: SetFamily) -> dict:
@@ -149,20 +163,24 @@ def family_to_object(fam: SetFamily) -> dict:
 
 def family_from_object(obj) -> SetFamily:
     n, sets = _object_fields(obj, "family", "sets")
-    members, bit = member_bytes(n), _element_bit(n)
+    # one pass over every set and element; any anomaly (a non-list set, a
+    # bool, float or out-of-range element, a repeat, a duplicate set) leaves
+    # acceptance and the message to the per-set path below
+    if {*map(type, sets)} <= {list} and {*map(type, chain.from_iterable(sets))} <= {int}:
+        try:
+            # 8 bytes a mask, where a list would hold an int object for each
+            masks = array("q", map(sum, map(map, repeat(_element_bit(n)), sets)))
+        except KeyError:
+            masks = None
+        if masks is not None and sum(map(int.bit_count, masks)) == sum(map(len, sets)):
+            fam = SetFamily.of(n, masks)
+            if len(fam) == len(masks):
+                return fam
+    members = member_bytes(n)
     # every set is validated before a duplicate is reported
-    if not all([add_member(members, _json_set_mask(s, n, bit)) for s in sets]):
+    if not all([add_member(members, _set_mask(s, n)) for s in sets]):
         raise ParseError("duplicate sets in family")
     return SetFamily(n, int.from_bytes(members, "little"))
-
-
-def _json_set_mask(elements, n: int, bit) -> int:
-    # True and 1.0 hash like 1, so only lists of exact ints may use the memo
-    if type(elements) is list and {*map(type, elements)} <= {int}:
-        mask = _memo_mask(elements, bit)
-        if mask is not None:
-            return mask
-    return _set_mask(elements, n)
 
 
 def parse_family(text: str) -> SetFamily:

@@ -8,7 +8,7 @@ are implemented, one per variable priority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (GroundMismatch, InfiniteStaircase, PatternNotInSupport, ShatterlabError,
@@ -353,6 +353,7 @@ class GroebnerReport:
     evaluation_rank: int
     rank_full: bool             # rank equals family size
     equivalence_holds: bool     # counting_equal == groebner; False is a hard failure
+    generators: tuple[Polynomial, ...] = field(repr=False)  # the basis tested
 
 
 def extremality_groebner_report(system: SpernerSystem, order: LexOrder) -> GroebnerReport:
@@ -378,6 +379,7 @@ def extremality_groebner_report(system: SpernerSystem, order: LexOrder) -> Groeb
         evaluation_rank=rank,
         rank_full=rank == len(fam),
         equivalence_holds=counting == groebner,
+        generators=tuple(basis),
     )
 
 

@@ -199,6 +199,32 @@ def reference_parse_set_lines(n, lines):
     return tuple(sorted(seen))
 
 
+def reference_family_from_sets(n, sets):
+    """Masks of a JSON family's sets over [n], ascending, or the first error message.
+
+    Sets are read one at a time: a set must be a list, and each element a
+    non-bool int in [1, n] that does not repeat; a duplicate set is reported
+    only after every set has been read.
+    """
+    masks = []
+    for elements in sets:
+        if not isinstance(elements, list):
+            return f"a set must be an array of elements, got {elements!r}"
+        mask = 0
+        for e in elements:
+            if not isinstance(e, int) or isinstance(e, bool):
+                return f"bad element {e!r}"
+            if not 1 <= e <= n:
+                return f"element {e} outside ground set [{n}]"
+            if mask & 1 << (e - 1):
+                return f"repeated element {e}"
+            mask |= 1 << (e - 1)
+        masks.append(mask)
+    if len(set(masks)) < len(masks):
+        return "duplicate sets in family"
+    return tuple(sorted(masks))
+
+
 def minimalize(masks):
     mins = []
     for m in sorted(set(masks)):

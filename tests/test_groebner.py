@@ -389,6 +389,9 @@ class TestReport:
         assert report.counting_equal and report.groebner and report.rank_full
         assert report.equivalence_holds
         assert report.standard_monomials == 4
+        # the basis the report tested is the one the CLI prints
+        assert report.generators == tuple(system_generators(EX_SYSTEM))
+        assert "generators" not in repr(report)
 
     def test_unbalanced_report(self):
         system = SpernerSystem.of(3, [(0b011, 0b001), (0b110, 0b010)])

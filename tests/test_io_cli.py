@@ -11,9 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from shatterlab import ParseError, SetFamily
-from shatterlab.cli import RunConfig, _json, main, run
+from shatterlab import ParseError, SetFamily, SpernerSystem, augment, peel
+from shatterlab.cli import RunConfig, _json, _text, main, run
+from shatterlab.families import elements_of_mask
 from shatterlab.fileio import (
+    certificate_to_object,
     family_from_object,
     family_to_object,
     format_family_text,
@@ -191,6 +193,105 @@ class TestJsonWriter:
                 json.dumps(value, indent=2)
             with pytest.raises(TypeError):
                 _json(value)
+
+
+# every family over [n] for n <= 3, the n = 0 ones included
+ALL_SMALL_FAMILIES = [SetFamily(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+
+
+@st.composite
+def _families_up_to_12(draw):
+    n = draw(st.integers(0, 12))
+    bits = draw(st.integers(0, (1 << (1 << n)) - 1)
+                | st.sets(st.integers(0, (1 << n) - 1), max_size=40).map(
+                    lambda masks: sum(1 << m for m in masks)))
+    return SetFamily(n, bits)
+
+
+def _check_family_writer(fam):
+    """Each rendering the CLI uses is json's byte for byte and parses back to `fam`."""
+    obj = family_to_object(fam)
+    compact, top, row = _text(fam), _json(fam), _json({"augmented_family": fam, "x": [fam]})
+    assert compact == json.dumps(obj)
+    assert top == json.dumps(obj, indent=2)
+    assert row == json.dumps({"augmented_family": obj, "x": [obj]}, indent=2)
+    assert parse_family(compact) == parse_family(top) == fam
+    assert family_from_object(json.loads(row)["augmented_family"]) == fam
+    lines = [",".join(map(str, elems)) or "-" for elems in fam.sets()]
+    assert format_family_text(fam) == "\n".join([f"n={fam.n}", *lines, ""])
+    assert parse_family_text(format_family_text(fam)) == fam
+
+
+class TestFamilyWriter:
+    def test_every_family_up_to_n3(self):
+        for fam in ALL_SMALL_FAMILIES:
+            _check_family_writer(fam)
+
+    @pytest.mark.parametrize("fam", [
+        SetFamily.empty(0), SetFamily.full(0), SetFamily(3, 0b1), SetFamily(12, 0b1),
+        SetFamily(12, 0b11), SetFamily.full(5), SetFamily.full(12), SetFamily(12, 1 << 4095),
+    ])
+    def test_edge_families(self, fam):
+        _check_family_writer(fam)
+
+    @given(_families_up_to_12())
+    def test_families_up_to_n12(self, fam):
+        _check_family_writer(fam)
+
+    @given(helpers.anchored_systems(max_n=7, max_members=4))
+    def test_cli_family_rows(self, triple):
+        # top level in construct, one level down in augment and peel
+        system = SpernerSystem.from_anchor(*triple)
+        fam = system.family()
+        system_json = json.dumps(system_to_object(system))
+        assert run_cli(["construct", "--format", "structured"], system_json) == (
+            0, json.dumps(family_to_object(fam), indent=2) + "\n")
+        if fam.is_full() or not fam.bits:
+            return
+        cert = augment(system)
+        code, report = run_cli(["augment", "--format", "structured"], system_json)
+        assert (code, report) == (0, json.dumps(certificate_to_object(cert), indent=2) + "\n")
+        code, report = run_cli(["augment"], system_json)
+        augmented = json.dumps(family_to_object(cert.augmented_family))
+        assert code == 0 and f"augmented-family: {augmented}\n" in report
+        removed = peel(fam)
+        remaining = family_to_object(fam.without_member(removed))
+        code, report = run_cli(["peel", "--format", "structured"], format_family_text(fam))
+        assert code == 0 and json.loads(report)["remaining_family"] == remaining
+        assert report == json.dumps({"removed_set": list(elements_of_mask(removed)),
+                                     "remaining_family": remaining, "s_extremal": True},
+                                    indent=2) + "\n"
+        code, report = run_cli(["peel"], format_family_text(fam))
+        assert code == 0 and f"remaining-family: {json.dumps(remaining)}\n" in report
+
+
+_ODD_ELEMENTS = st.sampled_from([True, False, 1.0, 2.5, "1", None, [1], [], -1, 0, 2 ** 70])
+_ODD_SETS = st.lists(st.integers(-1, 5) | _ODD_ELEMENTS, max_size=4) | _ODD_ELEMENTS
+
+
+class TestFamilyObjectInput:
+    """`family_from_object` against `helpers.reference_family_from_sets`, set by set."""
+
+    @pytest.mark.parametrize("sets", [
+        [[True]], [[1.0]], [[1, 1]], [[5]], [[0]], [[1], [1]], [[2, 1], [1, 2]], [1], ["1"],
+        [[[1]]], [[1, [2]]], [[]], [[], []], [], [[1], [2], [1, 2], []], [[2 ** 70]],
+        [[1], [True], [1]], [[1], [1], [3]], [[1, 1], 7],
+    ])
+    def test_pinned(self, sets):
+        self._agree(4, sets)
+
+    @given(st.integers(0, 5), st.lists(
+        _ODD_SETS | st.lists(st.integers(1, 5), max_size=5), max_size=8))
+    def test_mixes(self, n, sets):
+        self._agree(n, sets)
+
+    @staticmethod
+    def _agree(n, sets):
+        try:
+            got = family_from_object({"n": n, "sets": sets}).masks
+        except ParseError as exc:
+            got = str(exc)
+        assert got == helpers.reference_family_from_sets(n, sets)
 
 
 def run_cli(argv, stdin_text=""):
