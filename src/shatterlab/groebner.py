@@ -1,15 +1,19 @@
 """Exact symbolic layer: cube polynomials, lex orders, division, and the basis test.
 
-Everything runs over the rationals (stdlib fractions): every division makes a
-`Fraction`, so polynomials built with integer coefficients stay exact.
-Monomials are exponent tuples of length n; only the n! lexicographic orders
-are implemented, one per variable priority.
+Everything runs over the rationals.  Coefficients are ints or stdlib
+`Fraction`s: a quotient is an int when the divisor divides it exactly, and a
+`Fraction` otherwise, so the ±1 coefficients of the cube polynomials and field
+equations stay ints and every result is still exact over Q.  Monomials are
+exponent tuples of length n; only the n! lexicographic orders are
+implemented, one per variable priority.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, itemgetter, le, mul, neg, sub
 
 from .errors import (GroundMismatch, InfiniteStaircase, PatternNotInSupport, ShatterlabError,
                      TooLarge, ZeroPolynomial)
@@ -20,19 +24,19 @@ Monomial = tuple  # exponent vector of length n
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_from_mask(mask: int, n: int) -> Monomial:
@@ -41,20 +45,27 @@ def mono_from_mask(mask: int, n: int) -> Monomial:
 
 @dataclass(frozen=True)
 class LexOrder:
-    """Lexicographic term order; priority lists 0-based variables, biggest first."""
+    """Lexicographic term order; priority lists 0-based variables, biggest first.
+
+    `key(mono)` is the exponent tuple read in priority order, so the order
+    compares monomials as their keys compare.
+    """
 
     priority: tuple[int, ...]
 
     def __post_init__(self):
         if sorted(self.priority) != list(range(len(self.priority))):
             raise ShatterlabError("priority must be a permutation of the variables")
+        # built once per order and not a field, so equality, hash and repr see
+        # only the priority; itemgetter returns a bare value for one index and
+        # takes no empty index list, but with at most one variable the priority
+        # is the identity and tuple() returns the monomial itself
+        object.__setattr__(self, "key", itemgetter(*self.priority)
+                           if len(self.priority) > 1 else tuple)
 
     @classmethod
     def standard(cls, n: int) -> "LexOrder":
         return cls(tuple(range(n)))
-
-    def key(self, mono: Monomial):
-        return tuple(mono[v] for v in self.priority)
 
 
 def all_lex_orders(n: int):
@@ -121,7 +132,7 @@ def cube_polynomial(n: int, support: int, pattern: int) -> Polynomial:
     terms = {}
     for t in submasks(rest):
         sign = 1 if (k - t.bit_count()) % 2 == 0 else -1
-        terms[mono_from_mask(pattern | t, n)] = Fraction(sign)
+        terms[mono_from_mask(pattern | t, n)] = sign
     return Polynomial(n, terms)
 
 
@@ -131,7 +142,7 @@ def field_equations(n: int) -> list[Polynomial]:
     for i in range(n):
         sq = tuple(2 if j == i else 0 for j in range(n))
         lin = tuple(1 if j == i else 0 for j in range(n))
-        out.append(Polynomial.from_int_terms(n, {sq: 1, lin: -1}))
+        out.append(Polynomial(n, {sq: 1, lin: -1}))
     return out
 
 
@@ -158,15 +169,32 @@ def leading_monomial(p: Polynomial, order: LexOrder) -> Monomial:
     return max(p.terms, key=order.key)
 
 
-def _add_multiple(work: dict, p: Polynomial, coeff, shift: Monomial) -> None:
-    """work += coeff * x^shift * p in place, dropping the terms that cancel."""
+def _quotient(a, b):
+    """a / b, exact: an int when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return Fraction(a, b)
+
+
+def _add_multiple(work: dict, p: Polynomial, coeff, shift: Monomial) -> list:
+    """work += coeff * x^shift * p in place, dropping the terms that cancel.
+
+    Returns the monomials that were not in work before.
+    """
+    new = []
     for m, c in p.terms.items():
         mm = mono_mul(m, shift)
-        s = work.get(mm, 0) + coeff * c
-        if s == 0:
-            work.pop(mm, None)
+        s = work.get(mm)
+        if s is None:
+            work[mm] = coeff * c
+            new.append(mm)
         else:
-            work[mm] = s
+            s += coeff * c
+            if s == 0:
+                del work[mm]
+            else:
+                work[mm] = s
+    return new
 
 
 def normal_form(p: Polynomial, basis: list[Polynomial], order: LexOrder) -> Polynomial:
@@ -175,23 +203,34 @@ def normal_form(p: Polynomial, basis: list[Polynomial], order: LexOrder) -> Poly
     Strategy is fixed for determinism: reduce the order-largest reducible
     term, using the first basis element whose leading monomial divides it.
     The result has no term divisible by any basis leading monomial.
+
+    Each term is visited once, largest first, from a heap of negated order
+    keys.  Reducing a term adds only smaller terms, since a monomial order is
+    multiplicative, so the terms visited before it stay irreducible and the
+    largest reducible term is always the next one popped.
     """
     _check_arity(p.n, order)
     lead = [(leading_monomial(b, order), b) for b in basis]
+    key = order.key
     work = dict(p.terms)
-    while True:
-        target = None
-        for mono in sorted(work, key=order.key, reverse=True):
-            for lm, b in lead:
-                if mono_divides(lm, mono):
-                    target = (mono, lm, b)
-                    break
-            if target:
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
+    seen = set(work)
+    while heap:
+        mono = heappop(heap)[1]
+        if mono not in work:
+            continue
+        for lm, b in lead:
+            if mono_divides(lm, mono):
                 break
-        if target is None:
-            return Polynomial(p.n, work)
-        mono, lm, b = target
-        _add_multiple(work, b, -Fraction(work[mono], b.terms[lm]), mono_div(mono, lm))
+        else:
+            continue
+        for mm in _add_multiple(work, b, -_quotient(work[mono], b.terms[lm]),
+                                mono_div(mono, lm)):
+            if mm not in seen:
+                seen.add(mm)
+                heappush(heap, (tuple(map(neg, key(mm))), mm))
+    return Polynomial(p.n, work)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: LexOrder) -> Polynomial:
@@ -200,8 +239,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: LexOrder) -> Polynomial:
     lmg = leading_monomial(g, order)
     lcm = mono_lcm(lmf, lmg)
     work: dict = {}
-    _add_multiple(work, f, Fraction(1, f.terms[lmf]), mono_div(lcm, lmf))
-    _add_multiple(work, g, Fraction(-1, g.terms[lmg]), mono_div(lcm, lmg))
+    _add_multiple(work, f, _quotient(1, f.terms[lmf]), mono_div(lcm, lmf))
+    _add_multiple(work, g, -_quotient(1, g.terms[lmg]), mono_div(lcm, lmg))
     return Polynomial(f.n, work)
 
 
@@ -214,7 +253,7 @@ def is_groebner_basis(basis: list[Polynomial], order: LexOrder) -> bool:
     lead = [leading_monomial(b, order) for b in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if all(a == 0 or b == 0 for a, b in zip(lead[i], lead[j])):
+            if not any(map(mul, lead[i], lead[j])):
                 continue
             if not normal_form(s_polynomial(basis[i], basis[j], order), basis, order).is_zero():
                 return False
@@ -301,11 +340,16 @@ def point_evaluation_rank(fam: SetFamily, monomial_sets: SetFamily) -> int:
     """Rank over Q of the matrix of x^T (T in monomial_sets) at the points of fam.
 
     Row T is the bitset of the members containing T.  The rows are reduced
-    over GF(2) by an XOR basis keyed by top bit, stopping once the rank
-    reaches min(|fam|, |monomial_sets|).  That certificate is exact over Q:
-    a minor that is nonzero mod 2 is an odd integer, so the rational rank is
-    at least the GF(2) rank and at most the smaller dimension.  Only when
-    the GF(2) rank falls short is the exact `integer_matrix_rank` run.
+    over GF(2) by an XOR basis keyed by lowest set bit, stopping once the
+    rank reaches min(|fam|, |monomial_sets|).  The lowest bit of row T is the
+    smallest member containing T, so the rows arrive nearly in echelon form.
+    Each XOR clears the row's lowest bit and sets none below it, so the
+    lowest bit strictly rises and elimination ends.  The pivot rule does not
+    change the GF(2) rank of the rows seen so far, so the rank and the point
+    where it stops are those of any other rule.  The certificate is exact
+    over Q: a minor that is nonzero mod 2 is an odd integer, so the rational
+    rank is at least the GF(2) rank and at most the smaller dimension.  Only
+    when the GF(2) rank falls short is the exact `integer_matrix_rank` run.
 
     `extremality_groebner_report` never takes that fallback.  There fam is
     the family F of a Sperner system and monomial_sets its up-complement D,
@@ -326,10 +370,10 @@ def point_evaluation_rank(fam: SetFamily, monomial_sets: SetFamily) -> int:
             break
         row = fam.bits & cube_bits(fam.n, t, t)
         while row:
-            top = row.bit_length() - 1
-            pivot = pivots.get(top)
+            low = row & -row
+            pivot = pivots.get(low)
             if pivot is None:
-                pivots[top] = row
+                pivots[low] = row
                 break
             row ^= pivot
     if len(pivots) == full:

@@ -5,10 +5,12 @@ every pattern) and stay independent of the library's pruned/bitmap paths.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import strategies as st
 
-from shatterlab import InfiniteStaircase, SetFamily, SpernerSystem, indicator, leading_monomial
+from shatterlab import (InfiniteStaircase, Polynomial, SetFamily, SpernerSystem, indicator,
+                        leading_monomial)
 
 
 # -- definitional oracles -------------------------------------------------------
@@ -144,6 +146,65 @@ def brute_standard_monomial_count(basis, order):
         if not any(all(x <= y for x, y in zip(lm, mono)) for lm in lead):
             count += 1
     return count
+
+
+def _reference_key(order):
+    return lambda mono: tuple(mono[v] for v in order.priority)
+
+
+def _reference_add_multiple(work, p, coeff, shift):
+    """work += coeff * x^shift * p in place, dropping the terms that cancel."""
+    for m, c in p.terms.items():
+        mm = tuple(x + y for x, y in zip(m, shift))
+        s = work.get(mm, 0) + coeff * c
+        if s == 0:
+            work.pop(mm, None)
+        else:
+            work[mm] = s
+
+
+def reference_normal_form(p, basis, order):
+    """Remainder of p under division by the basis, by a sorted scan per step.
+
+    Each step sorts the whole remainder, largest first, and reduces the first
+    term that a basis leading monomial divides, with the first such basis
+    element; every quotient is a Fraction.  Order keys, leading monomials and
+    the reduction step are spelled out here, apart from the library's.
+    """
+    key = _reference_key(order)
+    lead = [(max(b.terms, key=key), b) for b in basis]
+    work = dict(p.terms)
+    while True:
+        target = None
+        for mono in sorted(work, key=key, reverse=True):
+            for lm, b in lead:
+                if all(x <= y for x, y in zip(lm, mono)):
+                    target = (mono, lm, b)
+                    break
+            if target:
+                break
+        if target is None:
+            return Polynomial(p.n, work)
+        mono, lm, b = target
+        _reference_add_multiple(work, b, -Fraction(work[mono], b.terms[lm]),
+                                tuple(x - y for x, y in zip(mono, lm)))
+
+
+def reference_is_groebner_basis(basis, order):
+    """Buchberger criterion over `reference_normal_form`, coprime leads skipped."""
+    key = _reference_key(order)
+    lead = [max(b.terms, key=key) for b in basis]
+    for i, j in combinations(range(len(basis)), 2):
+        if all(a == 0 or b == 0 for a, b in zip(lead[i], lead[j])):
+            continue
+        lcm = tuple(map(max, lead[i], lead[j]))
+        work = {}
+        for sign, g, lm in ((1, basis[i], lead[i]), (-1, basis[j], lead[j])):
+            _reference_add_multiple(work, g, Fraction(sign, g.terms[lm]),
+                                    tuple(x - y for x, y in zip(lcm, lm)))
+        if reference_normal_form(Polynomial(basis[i].n, work), basis, order).terms:
+            return False
+    return True
 
 
 def fraction_rank(matrix):

@@ -1,5 +1,6 @@
 """Tests for the exact symbolic layer: polynomials, division, basis test, rank."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -182,6 +183,68 @@ class TestNormalForm:
         got = normal_form(Polynomial(1, {(1,): 1}), [f], LexOrder.standard(1))
         assert got.terms == {(0,): Fraction(-1, 2)}
         assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@st.composite
+def division_inputs(draw):
+    """(p, basis, orders): random polynomials over n = 0..4 variables, exponents up to 3.
+
+    Coefficients are ints and Fractions, non-monic leads such as 2 and 3/2
+    included; the orders are every lex order for n <= 3 and one drawn for n = 4.
+    """
+    n = draw(st.integers(0, 4))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.one_of(st.sampled_from([1, -1, 2, Fraction(3, 2)]), st.integers(-3, 3),
+                       st.fractions(-2, 2, max_denominator=3))
+    polys = st.dictionaries(monos, coeffs, max_size=4).map(lambda terms: Polynomial(n, terms))
+    p = draw(polys)
+    basis = draw(st.lists(polys.filter(lambda b: not b.is_zero()), max_size=3))
+    if n <= 3:
+        orders = list(all_lex_orders(n))
+    else:
+        orders = [LexOrder(tuple(draw(st.permutations(range(n)))))]
+    return p, basis, orders
+
+
+class TestDivisionAgainstReference:
+    @settings(max_examples=200)
+    @given(division_inputs())
+    def test_normal_form_matches_sorted_scan(self, inputs):
+        # same reduction sequence, so the same remainder, term by term
+        p, basis, orders = inputs
+        for order in orders:
+            assert normal_form(p, basis, order).terms == \
+                helpers.reference_normal_form(p, basis, order).terms
+
+    @settings(max_examples=100)
+    @given(division_inputs(), st.booleans())
+    def test_basis_verdict_matches_reference_buchberger(self, inputs, with_field_equations):
+        _, basis, orders = inputs
+        if with_field_equations:
+            basis = basis + field_equations(len(orders[0].priority))
+        for order in orders:
+            assert is_groebner_basis(basis, order) == \
+                helpers.reference_is_groebner_basis(basis, order)
+
+
+class TestLexOrder:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_key_reads_exponents_in_priority_order(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            order = LexOrder(tuple(rng.sample(range(n), n)))
+            mono = tuple(rng.randrange(4) for _ in range(n))
+            assert order.key(mono) == tuple(mono[v] for v in order.priority)
+            assert type(order.key(mono)) is tuple
+
+    def test_equality_hash_and_repr_see_only_the_priority(self):
+        assert [f.name for f in dataclasses.fields(LexOrder)] == ["priority"]
+        for priority in [(), (0,), (1, 0), (2, 0, 1)]:
+            order = LexOrder(priority)
+            assert order == LexOrder(priority) and hash(order) == hash((priority,))
+            assert repr(order) == f"LexOrder(priority={priority!r})"
+        assert LexOrder((0, 1)) != LexOrder((1, 0))
+        assert len({LexOrder((0, 1)), LexOrder((0, 1)), LexOrder((1, 0))}) == 2
 
 
 class TestSPolynomial:
