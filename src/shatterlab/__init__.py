@@ -26,18 +26,14 @@ from .errors import (
     ZeroPolynomial,
 )
 from .families import SetFamily, elements_of_mask, is_antichain, mask_from_elements, submasks
-from .sperner import Cube, SpernerSystem, decompose, missing_patterns
+from .sperner import SpernerSystem, decompose
 from .cubes import (
     GraphClass,
     IntersectionGraph,
     classify_graph,
     extremality_defect,
     extremality_defect_by_size,
-    indicator,
-    intersect_cubes,
-    intersect_many,
     intersection_graph,
-    is_antichain_extremal,
     recover_anchor,
 )
 from .elimination import (

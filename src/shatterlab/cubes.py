@@ -1,10 +1,11 @@
-"""Symbolic cube intersections, the inclusion-exclusion defect, and the intersection graph.
+"""Compatibility of pattern cubes, the inclusion-exclusion defect, and the intersection graph.
 
 Two pattern cubes meet iff each support cut by the other's pattern agrees
-(the compatibility condition); the intersection is then the cube on the
-union support with the union pattern.  Summing signed cube sizes over the
-non-clique index sets measures how far a system is from extremal: the
-defect equals |up-complement| - |family| and vanishes exactly when the
+(the compatibility condition, tested in `_compatibility_rows` alone); the
+intersection is then the cube on the union support with the union
+pattern.  Summing signed cube sizes over the non-clique index sets
+measures how far a system is from extremal: the defect equals
+|up-complement| - |family| and vanishes exactly when the
 system's family is extremal with the full candidate down-set shattered.
 It is counted from cover histograms of the cube bitsets, so it enumerates
 no index sets and has no member cap.
@@ -15,48 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    EmptyInput,
-    GroundMismatch,
-    NotAntichain,
-    NotComplete,
-    PatternNotInSupport,
-    VerificationFailed,
-)
-from .families import SetFamily, cube_bits, is_antichain, is_extremal_with
-from .sperner import Cube, SpernerSystem
-
-
-def indicator(si: int, hi: int, sj: int, hj: int) -> int:
-    """1 iff the cubes on (si, hi) and (sj, hj) intersect: si & hj == sj & hi."""
-    if hi & ~si:
-        raise PatternNotInSupport(f"pattern {hi} not contained in support {si}")
-    if hj & ~sj:
-        raise PatternNotInSupport(f"pattern {hj} not contained in support {sj}")
-    return 1 if si & hj == sj & hi else 0
-
-
-def intersect_cubes(a: Cube, b: Cube) -> Cube | None:
-    """Intersection cube, or None when the cubes are disjoint."""
-    if a.n != b.n:
-        raise GroundMismatch(f"cubes over [{a.n}] and [{b.n}]")
-    if indicator(a.support, a.pattern, b.support, b.pattern):
-        return Cube(a.n, a.support | b.support, a.pattern | b.pattern)
-    return None
-
-
-def intersect_many(cubes: list[Cube]) -> Cube | None:
-    """Common intersection; nonempty iff every pair is compatible."""
-    if not cubes:
-        raise EmptyInput("need at least one cube")
-    for c in cubes[1:]:
-        if c.n != cubes[0].n:
-            raise GroundMismatch(f"cubes over [{cubes[0].n}] and [{c.n}]")
-    common = cubes[0]
-    # a cube meets each of some pairwise-meeting cubes iff it meets their intersection
-    for c in cubes[1:]:
-        common = common and intersect_cubes(common, c)
-    return common
+from .errors import NotComplete, VerificationFailed
+from .families import cube_bits
+from .sperner import SpernerSystem
 
 
 def _compatibility_rows(system: SpernerSystem) -> list[int]:
@@ -187,8 +149,13 @@ def classify_graph(graph: IntersectionGraph) -> GraphClass:
 def recover_anchor(system: SpernerSystem) -> int:
     """Anchor set reproducing every pattern by intersection; complete graph required.
 
-    Returns the union of all patterns and verifies support & anchor == pattern
-    for each member before returning.
+    This is the paper's anchored case: a complete intersection graph yields
+    an anchor, and then every member can be extended (`augment_anchored`).
+    The anchor is the union A of all patterns: each S_i & A is the union of
+    the S_i & H_j = S_j & H_i, all inside H_i, and H_i itself, so it is H_i.
+    That is verified for each member before returning.  In
+    `test_acceptance.py`, `_check_claims` rebuilds every complete small
+    system from A and `test_criterion_4_*` extends anchored systems.
     """
     graph = intersection_graph(system)
     if not graph.is_complete():
@@ -201,15 +168,3 @@ def recover_anchor(system: SpernerSystem) -> int:
             raise VerificationFailed(
                 f"recovered anchor {anchor} does not reproduce pattern {h} on support {s}")
     return anchor
-
-
-def is_antichain_extremal(fam: SetFamily, antichain: list[int]) -> bool:
-    """True iff the family is extremal with Sh(F) the antichain's up-complement.
-
-    The up-complement's minimal non-members are exactly the antichain, so
-    this is |F| = |up-complement| and no antichain member shattered.
-    """
-    if not is_antichain(antichain):
-        raise NotAntichain("supports are not an antichain")
-    down = SpernerSystem.of(fam.n, [(s, 0) for s in antichain]).up_complement()
-    return is_extremal_with(fam.n, fam.bits, down.bits)

@@ -138,9 +138,13 @@ def augment(system: SpernerSystem) -> EliminationCertificate | None:
 def augment_anchored(n: int, antichain: list[int], anchor: int, index: int) -> EliminationCertificate:
     """Extension step for anchored systems; succeeds for every member choice.
 
+    This is the paper's anchored case: a complete intersection graph yields
+    an anchor (`recover_anchor`), and then every member can be extended.
     The successor keeps the anchor assignment (each pattern is support cut by
     the anchor), so no witness search is needed: the family grows by exactly
-    one set regardless of which member is replaced.
+    one set regardless of which member is replaced.  In `test_acceptance.py`,
+    `test_criterion_4_*` verifies 1000 such steps and `_check_claims` the
+    anchor of every complete small system.
     """
     if not is_antichain(antichain):
         raise NotAntichain("supports are not an antichain")

@@ -89,14 +89,6 @@ class Polynomial:
             if c != 0:
                 self.terms[m] = c
 
-    @classmethod
-    def from_int_terms(cls, n: int, terms: dict) -> "Polynomial":
-        return cls(n, {m: Fraction(c) for m, c in terms.items()})
-
-    @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls(n)
-
     def is_zero(self) -> bool:
         return not self.terms
 

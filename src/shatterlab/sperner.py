@@ -1,4 +1,4 @@
-"""Antichains with pattern assignments, their cubes, and the families they carve out.
+"""Antichains with pattern assignments and the families they carve out.
 
 A `SpernerSystem` pairs each member S of an antichain with a pattern H <= S.
 Each pair forbids the trace pattern H on S; the sets avoiding every forbidden
@@ -30,40 +30,6 @@ from .families import (
     minimal_non_members,
     trace_bits,
 )
-
-
-@dataclass(frozen=True)
-class Cube:
-    """Subcube of 2^[n]: all sets whose intersection with `support` is `pattern`."""
-
-    n: int
-    support: int
-    pattern: int
-
-    def __post_init__(self):
-        check_ground(self.n)
-        if self.support & ~full_mask(self.n):
-            raise ShatterlabError(f"support {self.support} outside ground set [{self.n}]")
-        if self.pattern & ~self.support:
-            raise PatternNotInSupport(
-                f"pattern {self.pattern} not contained in support {self.support}")
-
-    @classmethod
-    def supersets_of(cls, n: int, s: int) -> "Cube":
-        """The cube of all supersets of s (pattern equal to support)."""
-        return cls(n, s, s)
-
-    def dimension(self) -> int:
-        return self.n - self.support.bit_count()
-
-    def size(self) -> int:
-        return 1 << self.dimension()
-
-    def contains(self, mask: int) -> bool:
-        return mask & self.support == self.pattern
-
-    def members(self) -> SetFamily:
-        return SetFamily(self.n, cube_bits(self.n, self.support, self.pattern))
 
 
 @dataclass(frozen=True)
@@ -106,13 +72,6 @@ class SpernerSystem:
     def patterns(self) -> tuple[int, ...]:
         return tuple(h for _, h in self.members)
 
-    def cubes(self) -> tuple[Cube, ...]:
-        return tuple(Cube(self.n, s, h) for s, h in self.members)
-
-    def up_closure(self) -> SetFamily:
-        """All sets containing at least one member support (an up-set)."""
-        return self.up_complement().complement()
-
     def up_complement(self) -> SetFamily:
         """Sets containing no member support; complement of the up-closure (a down-set)."""
         return _outside_cubes(self.n, [(s, s) for s, _ in self.members])
@@ -128,12 +87,6 @@ def _outside_cubes(n: int, pairs: Iterable[tuple[int, int]]) -> SetFamily:
     for support, pattern in pairs:
         union |= cube_bits(n, support, pattern)
     return SetFamily(n, cube_bits(n, 0, 0) ^ union)
-
-
-def missing_patterns(fam: SetFamily, s: int) -> SetFamily:
-    """Subsets of s that occur as no trace of the family."""
-    traces = fam.trace(s).bits
-    return SetFamily(fam.n, cube_bits(fam.n, full_mask(fam.n) ^ s, 0) & ~traces)
 
 
 def decompose(fam: SetFamily) -> SpernerSystem:

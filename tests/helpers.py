@@ -9,8 +9,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from shatterlab import (InfiniteStaircase, Polynomial, SetFamily, SpernerSystem, indicator,
-                        leading_monomial)
+from shatterlab import InfiniteStaircase, Polynomial, SetFamily, SpernerSystem, leading_monomial
 
 
 # -- definitional oracles -------------------------------------------------------
@@ -105,21 +104,23 @@ def brute_witnesses(n, pairs):
 def brute_defect_by_size(system):
     """Defect partial sums by enumerating all 2^N index sets.
 
-    Every term is recomputed from scratch: no unions or clique bits carried over.
+    Every term is recomputed from scratch: no unions or clique bits carried
+    over.  Two members meet when their cubes, filtered from the power set,
+    share a set, so the compatibility lemma is checked here, not assumed.
     """
     members = system.members
     n, big_n = system.n, len(members)
+    cubes = [brute_cube(n, s, h) for s, h in members]
+    meet = [[not a.isdisjoint(b) for b in cubes] for a in cubes]
     naive = [0] * big_n
     for bits in range(1, 1 << big_n):
-        chosen = [members[i] for i in range(big_n) if bits >> i & 1]
-        clique = all(indicator(si, hi, sj, hj)
-                     for a, (si, hi) in enumerate(chosen)
-                     for (sj, hj) in chosen[a + 1:])
+        chosen = [i for i in range(big_n) if bits >> i & 1]
+        clique = all(meet[i][j] for a, i in enumerate(chosen) for j in chosen[a + 1:])
         if clique:
             continue
         union = 0
-        for s, _ in chosen:
-            union |= s
+        for i in chosen:
+            union |= members[i][0]
         k = len(chosen)
         term = 1 << (n - union.bit_count())
         naive[k - 1] += term if k % 2 == 0 else -term

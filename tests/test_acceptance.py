@@ -23,6 +23,7 @@ from shatterlab import (
     recover_anchor,
     uncovered_witness,
 )
+from shatterlab.families import cube_bits
 
 EX_MEMBERS = ((0b011, 0b001), (0b101, 0), (0b110, 0))
 
@@ -145,11 +146,11 @@ def test_criterion_7_groebner_equivalence_random():
 
 
 def _check_claims(system):
-    cubes = [set(c.members().masks) for c in system.cubes()]
+    cubes = [cube_bits(system.n, s, h) for s, h in system.members]
     for i, a in enumerate(cubes):
         for j, b in enumerate(cubes):
             if i != j:
-                assert not a <= b
+                assert a & ~b
     graph = intersection_graph(system)
     if any(graph.degree(i) <= 1 for i in range(graph.size)):
         assert uncovered_witness(system) is not None

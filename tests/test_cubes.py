@@ -1,4 +1,4 @@
-"""Tests for cube intersections, the defect sum, and the intersection graph."""
+"""Tests for the compatibility lemma, the defect sum, and the intersection graph."""
 
 import random
 
@@ -7,122 +7,93 @@ from hypothesis import given, settings
 
 import helpers
 from shatterlab import (
-    Cube,
-    EmptyInput,
     GraphClass,
-    GroundMismatch,
     IntersectionGraph,
     NotAntichain,
     NotComplete,
     PatternNotInSupport,
     SetFamily,
     SpernerSystem,
+    augment_anchored,
     classify_graph,
     extremality_defect,
     extremality_defect_by_size,
-    indicator,
-    intersect_cubes,
-    intersect_many,
     intersection_graph,
-    is_antichain_extremal,
     recover_anchor,
+    submasks,
 )
+from shatterlab.families import cube_bits, is_extremal_with, masks_of_bits
 
 EX_SYSTEM = SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0), (0b110, 0)])
 EX_FAMILY = EX_SYSTEM.family()
 
 
 class TestIndicator:
+    """The compatibility test si & hj == sj & hi, as the intersection graph applies it."""
+
     def test_example_pair_is_incompatible(self):
-        assert indicator(0b011, 0b001, 0b101, 0) == 0
+        assert intersection_graph(SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0)])).edges() == ()
 
     def test_disjoint_supports_always_compatible(self):
-        assert indicator(0b001, 0b001, 0b110, 0b010) == 1
-
-    def test_self_compatible(self):
-        assert indicator(0b011, 0b001, 0b011, 0b001) == 1
+        for h1 in submasks(0b001):
+            for h2 in submasks(0b110):
+                graph = intersection_graph(SpernerSystem.of(3, [(0b001, h1), (0b110, h2)]))
+                assert graph.edges() == ((0, 1),)
 
     def test_rejects_bad_pattern(self):
+        # the graph only sees members the system has validated
         with pytest.raises(PatternNotInSupport):
-            indicator(0b001, 0b010, 0b001, 0)
+            SpernerSystem.of(3, [(0b001, 0b010), (0b110, 0)])
 
 
 class TestIntersectCubes:
+    """Compatible cubes meet in the cube on the union support and pattern; others not at all."""
+
     def test_meeting_pair(self):
-        got = intersect_cubes(Cube(3, 0b011, 0b001), Cube(3, 0b110, 0))
-        assert got == Cube(3, 0b111, 0b001)
-        assert got.members().masks == (0b001,)
+        got = cube_bits(3, 0b011, 0b001) & cube_bits(3, 0b110, 0)
+        assert got == cube_bits(3, 0b111, 0b001)
+        assert masks_of_bits(got) == (0b001,)
 
     def test_disjoint_pair(self):
-        assert intersect_cubes(Cube(3, 0b011, 0b001), Cube(3, 0b101, 0)) is None
-
-    def test_idempotent(self):
-        cube = Cube(3, 0b011, 0b001)
-        assert intersect_cubes(cube, cube) == cube
+        assert cube_bits(3, 0b011, 0b001) & cube_bits(3, 0b101, 0) == 0
 
     def test_superset_cubes_reduce_to_union_rule(self):
-        a, b = Cube.supersets_of(4, 0b0011), Cube.supersets_of(4, 0b0110)
-        assert intersect_cubes(a, b) == Cube.supersets_of(4, 0b0111)
-
-    def test_ground_mismatch(self):
-        with pytest.raises(GroundMismatch):
-            intersect_cubes(Cube(2, 1, 1), Cube(3, 1, 1))
+        assert cube_bits(4, 0b0011, 0b0011) & cube_bits(4, 0b0110, 0b0110) == \
+            cube_bits(4, 0b0111, 0b0111)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_soundness(self, n):
-        from shatterlab import submasks
-        cubes = [Cube(n, s, h) for s in range(1 << n) for h in submasks(s)]
-        for a in cubes:
-            set_a = helpers.brute_cube(n, a.support, a.pattern)
-            for b in cubes:
-                got = intersect_cubes(a, b)
-                want = set_a & helpers.brute_cube(n, b.support, b.pattern)
-                if got is None:
-                    assert want == set()
-                else:
-                    assert set(got.members().masks) == want
+        cubes = [(s, h) for s in range(1 << n) for h in submasks(s)]
+        for s1, h1 in cubes:
+            for s2, h2 in cubes:
+                want = cube_bits(n, s1 | s2, h1 | h2) if s1 & h2 == s2 & h1 else 0
+                assert cube_bits(n, s1, h1) & cube_bits(n, s2, h2) == want
 
 
 class TestIntersectMany:
+    """Cubes meet iff every pair does (a clique), in the cube on the unions."""
+
     def test_all_three_example_cubes_disjoint(self):
-        assert intersect_many(list(EX_SYSTEM.cubes())) is None
+        common = cube_bits(3, 0, 0)
+        for s, h in EX_SYSTEM.members:
+            common &= cube_bits(3, s, h)
+        assert common == 0
 
     def test_first_and_third(self):
-        cubes = EX_SYSTEM.cubes()
-        assert intersect_many([cubes[0], cubes[2]]) == Cube(3, 0b111, 0b001)
-
-    def test_singleton(self):
-        cube = Cube(3, 0b011, 0b001)
-        assert intersect_many([cube]) == cube
-
-    def test_empty_list(self):
-        with pytest.raises(EmptyInput):
-            intersect_many([])
-
-    def test_ground_mismatch(self):
-        with pytest.raises(GroundMismatch):
-            intersect_many([Cube(2, 1, 1), Cube(3, 1, 1)])
+        (s1, h1), _, (s3, h3) = EX_SYSTEM.members
+        assert cube_bits(3, s1, h1) & cube_bits(3, s3, h3) == cube_bits(3, 0b111, 0b001)
 
     @given(helpers.systems(max_members=4))
     def test_agrees_with_folded_pairwise(self, system):
-        cubes = list(system.cubes())
-        expected = cubes[0]
-        for c in cubes[1:]:
-            if expected is None:
-                break
-            expected = intersect_cubes(expected, c)
-        got = intersect_many(cubes)
-        if expected is None:
-            assert got is None
+        n = system.n
+        common, support, pattern = cube_bits(n, 0, 0), 0, 0
+        for s, h in system.members:
+            common &= cube_bits(n, s, h)
+            support, pattern = support | s, pattern | h
+        if intersection_graph(system).is_complete():
+            assert common == cube_bits(n, support, pattern)
         else:
-            # folding can over-grow support only when some pair is disjoint
-            members = set(expected.members().masks)
-            for c in cubes:
-                members &= set(c.members().masks)
-            if got is None:
-                assert members == set()
-            else:
-                assert set(got.members().masks) == members
+            assert common == 0
 
 
 class TestDefect:
@@ -177,7 +148,7 @@ class TestDefect:
         pairs = sum(1 << (system.n - (si | sj).bit_count())
                     for a, (si, hi) in enumerate(system.members)
                     for (sj, hj) in system.members[a + 1:]
-                    if not indicator(si, hi, sj, hj))
+                    if si & hj != sj & hi)
         assert partial[1] == pairs
         return partial
 
@@ -220,12 +191,10 @@ class TestIntersectionGraph:
     @given(helpers.systems())
     def test_edges_match_member_intersections(self, system):
         graph = intersection_graph(system)
-        cubes = [set(c.members().masks) for c in system.cubes()]
+        cubes = [cube_bits(system.n, s, h) for s, h in system.members]
         for i in range(graph.size):
             for j in range(i + 1, graph.size):
-                edge = bool(graph.adjacency[i] >> j & 1)
-                assert edge == bool(cubes[i] & cubes[j])
-                assert edge == (intersect_cubes(system.cubes()[i], system.cubes()[j]) is not None)
+                assert bool(graph.adjacency[i] >> j & 1) == bool(cubes[i] & cubes[j])
 
 
 class TestClassification:
@@ -292,19 +261,27 @@ class TestRecoverAnchor:
 
 
 class TestAntichainExtremality:
+    """F is extremal with Sh(F) the antichain's up-complement: `is_extremal_with`."""
+
+    @staticmethod
+    def extremal_with_up_complement(fam, antichain):
+        down = SpernerSystem.of(fam.n, [(s, 0) for s in antichain]).up_complement()
+        return is_extremal_with(fam.n, fam.bits, down.bits)
+
     def test_example_family(self):
-        assert is_antichain_extremal(EX_FAMILY, [0b011, 0b101, 0b110])
+        assert self.extremal_with_up_complement(EX_FAMILY, [0b011, 0b101, 0b110])
 
     def test_maximum_class_instance(self):
         fam = SetFamily.of(3, [0b000, 0b001, 0b010, 0b100])
-        assert is_antichain_extremal(fam, [0b011, 0b101, 0b110])
+        assert self.extremal_with_up_complement(fam, [0b011, 0b101, 0b110])
 
     def test_full_family_fails(self):
-        assert not is_antichain_extremal(SetFamily.full(3), [0b001])
+        assert not self.extremal_with_up_complement(SetFamily.full(3), [0b001])
 
     def test_rejects_non_antichain(self):
+        # the anchored extension step takes a bare antichain and checks it
         with pytest.raises(NotAntichain):
-            is_antichain_extremal(EX_FAMILY, [0b001, 0b011])
+            augment_anchored(3, [0b001, 0b011], 0, 0)
 
     @given(helpers.families(min_n=1), helpers.antichains())
     def test_generalized_bound(self, fam, pair):
@@ -322,7 +299,7 @@ class TestAntichainExtremality:
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
             fam = SetFamily.of(n, masks)
             anti = fam.shattered_sets().complement().minimal_elements()
-            assert fam.is_s_extremal() == is_antichain_extremal(fam, list(anti.masks))
+            assert fam.is_s_extremal() == self.extremal_with_up_complement(fam, anti.masks)
 
     def test_equivalence_with_plain_extremality_n4(self):
         n = 4
@@ -330,4 +307,4 @@ class TestAntichainExtremality:
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
             fam = SetFamily.of(n, masks)
             anti = fam.shattered_sets().complement().minimal_elements()
-            assert fam.is_s_extremal() == is_antichain_extremal(fam, list(anti.masks))
+            assert fam.is_s_extremal() == self.extremal_with_up_complement(fam, anti.masks)

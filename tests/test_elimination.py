@@ -44,8 +44,7 @@ class TestUncoveredWitness:
         # the last cube lies inside the union of the other two
         s3, h3 = EX_SYSTEM.members[2]
         others = EX_SYSTEM.members[:2]
-        from shatterlab import Cube
-        for f in Cube(3, s3, h3).members():
+        for f in families.masks_of_bits(families.cube_bits(3, s3, h3)):
             assert any(f & s == h for s, h in others)
 
     def test_empty_system(self):
@@ -287,7 +286,7 @@ class TestSmallSystemClaims:
 
     @given(helpers.systems())
     def test_no_cube_contains_another(self, system):
-        cubes = [set(c.members().masks) for c in system.cubes()]
+        cubes = [helpers.brute_cube(system.n, s, h) for s, h in system.members]
         for i, a in enumerate(cubes):
             for j, b in enumerate(cubes):
                 if i != j:

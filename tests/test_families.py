@@ -17,7 +17,6 @@ from shatterlab.families import (
     masks_of_bits,
     minimal_non_members,
 )
-from shatterlab.sperner import missing_patterns
 
 # the running 4-member example over [3]: {3}, {1,2}, {2,3}, {1,2,3}
 EX_FAMILY = SetFamily.from_sets(3, [[3], [1, 2], [2, 3], [1, 2, 3]])
@@ -264,7 +263,6 @@ class TestShatteredSetsAgainstOracles:
             if n <= 3:
                 for s in everything:
                     assert set(fam.trace(s).masks) == helpers.brute_trace(masks, s)
-                    assert set(missing_patterns(fam, s).masks) == helpers.brute_missing(masks, n, s)
         # every down-set is its own Sh, so `downs` holds all of them
         for down in downs:
             assert masks_of_bits(minimal_non_members(n, down.bits)) == \

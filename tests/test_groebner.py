@@ -42,7 +42,7 @@ LEX = LexOrder.standard(3)
 
 
 def poly(n, terms):
-    return Polynomial.from_int_terms(n, terms)
+    return Polynomial(n, terms)
 
 
 class TestCubePolynomial:
@@ -109,7 +109,7 @@ class TestLeadingMonomial:
 
     def test_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):
-            leading_monomial(Polynomial.zero(2), LexOrder.standard(2))
+            leading_monomial(Polynomial(2), LexOrder.standard(2))
 
     def test_rejects_order_arity_mismatch(self):
         with pytest.raises(ShatterlabError):
@@ -273,7 +273,7 @@ class TestSPolynomial:
 
     def test_zero_input(self):
         with pytest.raises(ZeroPolynomial):
-            s_polynomial(Polynomial.zero(2), poly(2, {(1, 0): 1}), LexOrder.standard(2))
+            s_polynomial(Polynomial(2), poly(2, {(1, 0): 1}), LexOrder.standard(2))
 
 
 class TestGroebnerBasis:
@@ -517,7 +517,7 @@ class TestFormatting:
         assert format_polynomial(gens[3], LEX) == "x1^2 - x1"
 
     def test_zero_and_fractions(self):
-        assert format_polynomial(Polynomial.zero(2), LexOrder.standard(2)) == "0"
+        assert format_polynomial(Polynomial(2), LexOrder.standard(2)) == "0"
         p = Polynomial(2, {(1, 0): Fraction(3, 2), (0, 0): Fraction(-1, 2)})
         assert format_polynomial(p, LexOrder.standard(2)) == "3/2*x1 - 1/2"
 

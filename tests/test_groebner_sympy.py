@@ -98,7 +98,7 @@ def test_normal_form_matches_sympy_remainder(system, data):
     assume(is_groebner_basis(basis, order))
     monos = st.tuples(*[st.integers(0, 3)] * n)
     terms = data.draw(st.dictionaries(monos, st.integers(-5, 5), max_size=6))
-    p = Polynomial.from_int_terms(n, terms)
+    p = Polynomial(n, terms)
     _, remainder = sympy.reduced(_to_sympy(p), [_to_sympy(g) for g in basis],
                                  *_gens(order), order="lex")
     assert normal_form(p, basis, order) == _from_sympy(remainder, order)

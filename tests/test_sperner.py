@@ -1,60 +1,66 @@
-"""Tests for cubes, system constructions, and the canonical decomposition."""
+"""Tests for cube bitsets, system constructions, and the canonical decomposition."""
 
 import pytest
 from hypothesis import given, settings
 
 import helpers
 from shatterlab import (
-    Cube,
     FullFamily,
     NotAntichain,
     NotExtremal,
     PatternNotInSupport,
     SetFamily,
     SpernerSystem,
+    cube_polynomial,
     decompose,
-    missing_patterns,
+    submasks,
 )
+from shatterlab.families import cube_bits, masks_of_bits
 
 # supports {1,2},{1,3},{2,3} with patterns {1},-,- over [3]
 EX_SYSTEM = SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0), (0b110, 0)])
 EX_FAMILY = SetFamily.of(3, [0b100, 0b011, 0b110, 0b111])
 
 
+def cube(n, support, pattern):
+    return masks_of_bits(cube_bits(n, support, pattern))
+
+
 class TestCube:
+    """The subcube of sets F with F & support == pattern, as a bitset."""
+
     def test_superset_cube_example(self):
-        cube = Cube.supersets_of(3, 0b011)
-        assert cube.members().masks == (0b011, 0b111)
+        assert cube(3, 0b011, 0b011) == (0b011, 0b111)
 
     def test_superset_cube_trivial(self):
-        assert Cube.supersets_of(2, 0).members() == SetFamily.full(2)
-        assert Cube.supersets_of(2, 0b11).members().masks == (0b11,)
+        assert cube(2, 0b11, 0b11) == (0b11,)
 
     def test_pattern_cube_examples(self):
-        assert Cube(3, 0b011, 0b001).members().masks == (0b001, 0b101)
-        assert Cube(3, 0b101, 0).members().masks == (0b000, 0b010)
-        assert Cube(3, 0b110, 0).members().masks == (0b000, 0b001)
+        assert cube(3, 0b011, 0b001) == (0b001, 0b101)
+        assert cube(3, 0b101, 0) == (0b000, 0b010)
+        assert cube(3, 0b110, 0) == (0b000, 0b001)
 
     def test_pattern_equal_support_is_superset_cube(self):
-        assert Cube(3, 0b011, 0b011) == Cube.supersets_of(3, 0b011)
+        for s in range(1 << 3):
+            assert set(cube(3, s, s)) == helpers.brute_up_closure(3, [s])
 
     def test_rejects_pattern_outside_support(self):
+        # the cube polynomial is built from a bare (support, pattern) and checks it
         with pytest.raises(PatternNotInSupport):
-            Cube(3, 0b011, 0b100)
+            cube_polynomial(3, 0b011, 0b100)
 
     def test_full_support_single_member(self):
-        assert Cube(3, 0b111, 0b101).members().masks == (0b101,)
+        assert cube(3, 0b111, 0b101) == (0b101,)
 
     def test_empty_support_is_power_set(self):
-        assert Cube(2, 0, 0).members() == SetFamily.full(2)
+        assert cube_bits(2, 0, 0) == SetFamily.full(2).bits
 
     @given(helpers.systems())
     def test_member_count_and_oracle(self, system):
         for s, h in system.members:
-            cube = Cube(system.n, s, h)
-            members = cube.members()
-            assert len(members) == 1 << (system.n - s.bit_count())
-            assert set(members.masks) == helpers.brute_cube(system.n, s, h)
+            bits = cube_bits(system.n, s, h)
+            assert bits.bit_count() == 1 << (system.n - s.bit_count())
+            assert set(masks_of_bits(bits)) == helpers.brute_cube(system.n, s, h)
 
 
 class TestSystemValidation:
@@ -73,19 +79,21 @@ class TestSystemValidation:
     def test_degenerate_empty_support(self):
         system = SpernerSystem.of(3, [(0, 0)])
         assert system.family().masks == ()
-        assert system.up_closure() == SetFamily.full(3)
+        assert system.up_complement().masks == ()
         with pytest.raises(NotAntichain):
             SpernerSystem.of(3, [(0, 0), (0b001, 0)])
 
 
 class TestConstructions:
+    # the up-closure of the supports is the complement of the up-complement
     def test_up_closure_example(self):
-        assert EX_SYSTEM.up_closure().masks == (0b011, 0b101, 0b110, 0b111)
-        assert EX_SYSTEM.up_closure().is_up_set()
+        closure = EX_SYSTEM.up_complement().complement()
+        assert closure.masks == (0b011, 0b101, 0b110, 0b111)
+        assert closure.is_up_set()
 
     def test_up_closure_trivial(self):
-        assert SpernerSystem.of(3, []).up_closure().masks == ()
-        assert SpernerSystem.of(2, [(0, 0)]).up_closure() == SetFamily.full(2)
+        assert SpernerSystem.of(3, []).up_complement().complement().masks == ()
+        assert SpernerSystem.of(2, [(0, 0)]).up_complement().complement() == SetFamily.full(2)
 
     def test_up_complement_example(self):
         assert EX_SYSTEM.up_complement().masks == (0, 1, 2, 4)
@@ -110,7 +118,8 @@ class TestConstructions:
     @given(helpers.systems())
     def test_constructions_match_oracles(self, system):
         n, pairs = system.n, system.members
-        assert set(system.up_closure().masks) == helpers.brute_up_closure(n, [s for s, _ in pairs])
+        assert set(system.up_complement().complement().masks) == \
+            helpers.brute_up_closure(n, [s for s, _ in pairs])
         assert set(system.family().masks) == helpers.brute_family(n, pairs)
 
     @given(helpers.systems())
@@ -145,20 +154,25 @@ class TestAnchors:
 
 
 class TestMissingPatterns:
+    """The subsets of s that are no trace of the family; `decompose` reads patterns off them."""
+
+    @staticmethod
+    def missing(fam, s):
+        return set(submasks(s)) - set(fam.trace(s).masks)
+
     def test_example(self):
-        assert missing_patterns(EX_FAMILY, 0b011).masks == (0b001,)
+        assert self.missing(EX_FAMILY, 0b011) == {0b001}
 
     def test_shattered_has_none(self):
-        assert missing_patterns(EX_FAMILY, 0b100).masks == ()
+        assert self.missing(EX_FAMILY, 0b100) == set()
 
     def test_empty_family_misses_everything(self):
-        assert missing_patterns(SetFamily.empty(2), 0b01).masks == (0, 1)
+        assert self.missing(SetFamily.empty(2), 0b01) == {0, 1}
 
     @given(helpers.families())
     def test_matches_oracle(self, fam):
         for s in range(1 << fam.n):
-            assert set(missing_patterns(fam, s).masks) == \
-                helpers.brute_missing(fam.masks, fam.n, s)
+            assert self.missing(fam, s) == helpers.brute_missing(fam.masks, fam.n, s)
 
 
 class TestDecompose:
@@ -196,7 +210,7 @@ class TestDecompose:
             assert system.up_complement() == fam.shattered_sets()
             # the pattern on every support is the unique missing trace
             for s, h in system.members:
-                assert missing_patterns(fam, s).masks == (h,)
+                assert helpers.brute_missing(masks, n, s) == {h}
 
     def test_roundtrip_exhaustive_n4(self):
         n = 4
