@@ -8,6 +8,8 @@ inclusion-exclusion defect, intersection-graph classification, and an exact
 Groebner-basis cross-check of extremality.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmbiguousMissing,
     EmptyInput,
@@ -25,13 +27,12 @@ from .errors import (
     WitnessNotEligible,
     ZeroPolynomial,
 )
-from .families import SetFamily, elements_of_mask, is_antichain, mask_from_elements, submasks
+from .families import SetFamily, elements_of_mask, is_antichain, submasks
 from .sperner import SpernerSystem, decompose
 from .cubes import (
     GraphClass,
     IntersectionGraph,
     classify_graph,
-    extremality_defect,
     extremality_defect_by_size,
     intersection_graph,
     recover_anchor,
@@ -51,7 +52,6 @@ from .groebner import (
     GroebnerReport,
     LexOrder,
     Polynomial,
-    all_lex_orders,
     cube_polynomial,
     extremality_groebner_report,
     field_equations,
@@ -67,4 +67,6 @@ from .groebner import (
 )
 from .sampling import SplitMix64, random_antichain, random_family, random_mask, random_system
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name of the namespace except the submodules it imports
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

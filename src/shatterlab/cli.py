@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
@@ -43,17 +42,6 @@ from .groebner import LexOrder, extremality_groebner_report, format_polynomial
 from .sperner import decompose
 
 OK, PROPERTY_FALSE, USAGE_ERROR = 0, 2, 1
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    n: int | None = None
-    seed: int | None = None
-    count: int | None = None
-    order: tuple[int, ...] | None = None
-    format: str = "text"
 
 
 def _text(value) -> str:
@@ -163,17 +151,17 @@ def _emit(rows: list[tuple], fmt: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _read_input(config: RunConfig, stdin) -> str:
+def _read_input(args, stdin) -> str:
     try:
-        if config.input_path:
-            with open(config.input_path, "r", encoding="utf-8") as fh:
+        if args.input_path:
+            with open(args.input_path, "r", encoding="utf-8") as fh:
                 return fh.read()
         return (stdin or sys.stdin).read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
 
 
-def _cmd_check(config, text):
+def _cmd_check(args, text):
     fam = parse_family(text)
     shattered = fam.shattered_sets()
     extremal = len(shattered) == len(fam)
@@ -188,20 +176,20 @@ def _cmd_check(config, text):
     ]
 
 
-def _cmd_decompose(config, text):
+def _cmd_decompose(args, text):
     system = decompose(parse_family(text))
     # the interchange encoding doubles as the text report
     return OK, _json(system_to_object(system)) + "\n"
 
 
-def _cmd_construct(config, text):
+def _cmd_construct(args, text):
     fam = parse_system(text).family()
-    if config.format == "structured":
+    if args.format == "structured":
         return OK, _json(fam) + "\n"
     return OK, format_family_text(fam)
 
 
-def _cmd_balance(config, text):
+def _cmd_balance(args, text):
     system = parse_system(text)
     partial = list(extremality_defect_by_size(system))
     defect = sum(partial)
@@ -213,7 +201,7 @@ def _cmd_balance(config, text):
     ]
 
 
-def _cmd_graph(config, text):
+def _cmd_graph(args, text):
     system = parse_system(text)
     graph = intersection_graph(system)
     edges = [[i + 1, j + 1] for i, j in graph.edges()]
@@ -227,7 +215,7 @@ def _cmd_graph(config, text):
     ]
 
 
-def _cmd_augment(config, text):
+def _cmd_augment(args, text):
     certificate = augment(parse_system(text))
     if certificate is None:
         return PROPERTY_FALSE, [("witness", None)]
@@ -241,7 +229,7 @@ def _cmd_augment(config, text):
     ]
 
 
-def _cmd_peel(config, text):
+def _cmd_peel(args, text):
     fam = parse_family(text)
     removed = peel(fam)
     if removed is None:
@@ -255,13 +243,13 @@ def _cmd_peel(config, text):
     ]
 
 
-def _cmd_groebner(config, text):
+def _cmd_groebner(args, text):
     system = parse_system(text)
-    if config.order is not None and sorted(config.order) != list(range(system.n)):
+    if args.order is not None and sorted(args.order) != list(range(system.n)):
         raise ParseError(
             f"--order must be a permutation of 1..{system.n}, got "
-            + (",".join(str(v + 1) for v in config.order) or "-"))
-    order = LexOrder(config.order) if config.order else LexOrder.standard(system.n)
+            + (",".join(str(v + 1) for v in args.order) or "-"))
+    order = LexOrder(args.order) if args.order else LexOrder.standard(system.n)
     report = extremality_groebner_report(system, order)
     gens = [format_polynomial(g, order) for g in report.generators]
     good = report.counting_equal and report.groebner and report.rank_full and report.equivalence_holds
@@ -280,12 +268,12 @@ def _cmd_groebner(config, text):
     ]
 
 
-def _cmd_audit(config, _input):
-    if config.n is None:
-        raise ParseError("audit requires --n")
-    if config.count is not None and config.seed is None:
+def _cmd_audit(args, _input):
+    if args.count is not None and args.seed is None:
         raise ParseError("--seed is required with --count")
-    report = audit_conjecture(config.n, samples=config.count, seed=config.seed)
+    if args.seed is not None and args.count is None:
+        raise ParseError("--count is required with --seed")
+    report = audit_conjecture(args.n, samples=args.count, seed=args.seed)
     seed = "-" if report.seed is None else report.seed
     return (OK if report.ok else PROPERTY_FALSE), [
         ("n", report.n),
@@ -319,17 +307,6 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig, stdin=None) -> tuple[int, str]:
-    """Dispatch one command; returns (exit code, report text)."""
-    handler, reads_input, _ = _COMMANDS[config.command]
-    text = _read_input(config, stdin) if reads_input else ""
-    try:
-        code, report = handler(config, text)
-    except (NotExtremal, FullFamily) as exc:
-        return PROPERTY_FALSE, f"error: {exc}\n"
-    return code, report if isinstance(report, str) else _emit(report, config.format)
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
@@ -356,20 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--count", type=int, default=None,
                            help="sample count (omit for the exhaustive sweep)")
             p.add_argument("--seed", type=int, default=None,
-                           help="splitmix64 seed; required with --count")
+                           help="splitmix64 seed; required with --count, refused without it")
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    # every parser destination is a RunConfig field; --order arrives as text,
-    # and an empty --order is the empty priority list
-    config = RunConfig(**vars(args))
-    try:
-        if config.order is not None:
-            config.order = tuple(int(v) - 1 for v in config.order.split(",")) if config.order else ()
-    except ValueError:
-        raise ParseError(f"bad --order {args.order!r}") from None
-    return config
 
 
 def main(argv=None, stdin=None, stdout=None) -> int:
@@ -378,12 +343,23 @@ def main(argv=None, stdin=None, stdout=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    handler, reads_input, _ = _COMMANDS[args.command]
     try:
-        code, report = run(_config_from_args(args), stdin=stdin)
+        # --order arrives as text, and an empty --order is the empty priority
+        # list; it is read before the input, so a bad order is reported first
+        order = getattr(args, "order", None)
+        if order is not None:
+            try:
+                args.order = tuple(int(v) - 1 for v in order.split(",")) if order else ()
+            except ValueError:
+                raise ParseError(f"bad --order {order!r}") from None
+        code, report = handler(args, _read_input(args, stdin) if reads_input else "")
+    except (NotExtremal, FullFamily) as exc:
+        code, report = PROPERTY_FALSE, f"error: {exc}\n"
     except (ShatterlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    stdout.write(report)
+    stdout.write(report if isinstance(report, str) else _emit(report, args.format))
     return code
 
 

@@ -82,12 +82,6 @@ def extremality_defect_by_size(system: SpernerSystem) -> tuple[int, ...]:
     return tuple(-v if k % 2 else v for k, v in enumerate(shifted) if k)
 
 
-def extremality_defect(system: SpernerSystem) -> int:
-    """|up-complement| - |family|; nonnegative, zero iff the family is extremal
-    with shattered sets equal to the up-complement."""
-    return sum(extremality_defect_by_size(system))
-
-
 class GraphClass(Enum):
     HAS_ISOLATED = "isolated-vertex"
     HAS_DEGREE_ONE = "degree-one-vertex"

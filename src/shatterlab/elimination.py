@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (EmptyInput, NotAntichain, NotExtremal, ShatterlabError, TooLarge,
-                     VerificationFailed, WitnessNotEligible)
-from .families import (SetFamily, check_ground, cube_bits, full_mask, is_antichain,
-                       is_extremal_with, masks_of_bits)
+from .errors import (EmptyInput, NotExtremal, ShatterlabError, TooLarge, VerificationFailed,
+                     WitnessNotEligible)
+from .families import (SetFamily, check_ground, cube_bits, full_mask, is_extremal_with,
+                       masks_of_bits)
 from .sperner import SpernerSystem, decompose
 from .sampling import SplitMix64, random_family
 
@@ -146,8 +146,6 @@ def augment_anchored(n: int, antichain: list[int], anchor: int, index: int) -> E
     `test_criterion_4_*` verifies 1000 such steps and `_check_claims` the
     anchor of every complete small system.
     """
-    if not is_antichain(antichain):
-        raise NotAntichain("supports are not an antichain")
     if not antichain:
         raise EmptyInput("antichain has no members")
     system = SpernerSystem.from_anchor(n, antichain, anchor)
@@ -210,7 +208,7 @@ class AuditReport:
     missing_witness: int           # decomposition had no uncovered witness
     machinery_failures: int        # witness existed but the extension step failed
     disagreements: int             # witness existence vs brute-force addability mismatch
-    counterexamples: tuple[tuple[int, ...], ...]   # first few offending families
+    counterexamples: tuple[tuple[int, ...], ...]   # first five offending families
 
     @property
     def ok(self) -> bool:
@@ -257,8 +255,7 @@ def _audit_one(masks: tuple[int, ...], n: int) -> tuple[bool, bool, bool]:
     return brute_ok, True, certificate.augmented_family.bits == fam.bits | 1 << certificate.added_set
 
 
-def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None,
-                     keep: int = 5) -> AuditReport:
+def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None) -> AuditReport:
     """Sweep families and compare brute-force addability with the extension step.
 
     Exhaustive mode (samples None) enumerates all 2^(2^n) families and needs
@@ -292,7 +289,7 @@ def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None
     bad: list[tuple[int, ...]] = []
 
     def note(masks):
-        if len(bad) < keep:
+        if len(bad) < 5:
             bad.append(masks)
 
     for masks in family_iter:

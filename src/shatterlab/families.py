@@ -5,7 +5,7 @@ element i is in the subset.  Elements are 1-based in all I/O, bit positions
 0-based internally.  A family is one 2^n-bit integer `bits`, bit m set iff m
 is a member; every set operation works on it, and its ascending mask tuple
 `masks` is decoded only on first use, for output.  Other modules use that
-encoding through `cube_bits`, `trace_bits`, `minimal_non_members`,
+encoding through `cube_bits`, `trace_bits`, `minimal_bits`,
 `is_extremal_with`, `masks_of_bits`, `add_member` and `SetFamily(n, bits)`;
 `half_tables` decodes masks for output.
 """
@@ -31,18 +31,10 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def mask_from_elements(elements: Iterable[int], n: int) -> int:
-    """Build a mask from 1-based elements, validating the range."""
-    mask = 0
-    for e in elements:
-        if not 1 <= e <= n:
-            raise ShatterlabError(f"element {e} outside ground set [{n}]")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 def elements_of_mask(mask: int) -> tuple[int, ...]:
-    """1-based elements of a mask, ascending."""
+    """1-based elements of a non-negative mask, ascending."""
+    if mask < 0:
+        raise ShatterlabError(f"mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -133,18 +125,16 @@ def trace_bits(n: int, bits: int, s: int) -> int:
     return bits
 
 
-def minimal_non_members(n: int, down: int) -> int:
-    """Bitset of the sets outside `down` whose one-smaller subsets all lie in it.
+def minimal_bits(n: int, bits: int) -> int:
+    """Bitset of the inclusion-minimal members of the family with bitset `bits`.
 
-    For a down-set these are exactly its inclusion-minimal non-members; for
-    any other bitset they still include every one.  A non-member qualifies
-    iff no (U & Z_x) << 2^x hits it, U the non-members.
+    A, the proper supersets of members, grows one element x at a time:
+    A |= ((A | F) & Z_x) << 2^x adds x to each member and each set of A.
     """
-    outside = down ^ (1 << (1 << n)) - 1
-    covered = 0
+    above = 0
     for x, clear in enumerate(_bit_clear_positions(n)):
-        covered |= (outside & clear) << (1 << x)
-    return outside & ~covered
+        above |= ((above | bits) & clear) << (1 << x)
+    return bits & ~above
 
 
 def _shatters(n: int, bits: int, s: int) -> bool:
@@ -155,16 +145,17 @@ def _shatters(n: int, bits: int, s: int) -> bool:
 def is_extremal_with(n: int, bits: int, down: int) -> bool:
     """True iff the family F with bitset `bits` is extremal with Sh(F) = D, D = `down`.
 
-    The certificate is |D| = |F| and F shatters none of D's minimal
-    non-members (`minimal_non_members`): one trace each, no Sh(F).
-    Sufficient: a set outside D contains a minimal non-member, and a
+    The certificate is |D| = |F| and F shatters none of the minimal sets
+    of D's complement (`minimal_bits`): one trace each, no Sh(F).
+    Sufficient: a set outside D contains a minimal set outside D, and a
     subset of a shattered set is shattered, so Sh(F) lies in D; with
     Pajor's bound |Sh(F)| >= |F|, |F| <= |Sh(F)| <= |D| = |F|, so
     Sh(F) = D.  Necessary: if Sh(F) = D, no set outside D is shattered.
     D need not be a down-set.  This is a theorem, not a heuristic.
     """
+    outside = down ^ (1 << (1 << n)) - 1
     return down.bit_count() == bits.bit_count() and not any(
-        _shatters(n, bits, s) for s in masks_of_bits(minimal_non_members(n, down)))
+        _shatters(n, bits, s) for s in masks_of_bits(minimal_bits(n, outside)))
 
 
 def member_bytes(n: int) -> bytearray:
@@ -216,15 +207,6 @@ class SetFamily:
             if not 0 <= m < 1 << n:
                 raise ShatterlabError(f"mask {m} has bits outside ground set [{n}]")
             members[m >> 3] |= 1 << (m & 7)
-        return cls(n, int.from_bytes(members, "little"))
-
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        """Build from 1-based element lists; duplicate sets are rejected."""
-        members = member_bytes(n)
-        # every set is validated before a duplicate is reported
-        if not all([add_member(members, mask_from_elements(s, n)) for s in sets]):
-            raise ShatterlabError("duplicate sets in family")
         return cls(n, int.from_bytes(members, "little"))
 
     @classmethod
@@ -310,18 +292,11 @@ class SetFamily:
         return SetFamily(self.n, self.bits ^ (1 << (1 << self.n)) - 1)
 
     def minimal_elements(self) -> "SetFamily":
-        """Inclusion-minimal members (an antichain): those with no member below them.
-
-        A, the proper supersets of members, grows one element x at a time:
-        A |= ((A | F) & Z_x) << 2^x adds x to each member and each set of A.
-        """
-        above = 0
-        for x, clear in enumerate(_bit_clear_positions(self.n)):
-            above |= ((above | self.bits) & clear) << (1 << x)
-        return SetFamily(self.n, self.bits & ~above)
+        """Inclusion-minimal members (an antichain): those with no member below them."""
+        return SetFamily(self.n, minimal_bits(self.n, self.bits))
 
     def maximal_elements(self) -> "SetFamily":
-        """Inclusion-maximal members: as `minimal_elements`, removing x, ((B | F) & ~Z_x) >> 2^x."""
+        """Inclusion-maximal members: as `minimal_bits`, removing x, ((B | F) & ~Z_x) >> 2^x."""
         below = 0
         for x, clear in enumerate(_bit_clear_positions(self.n)):
             below |= ((below | self.bits) & ~clear) >> (1 << x)

@@ -240,16 +240,3 @@ def _load_json(text: str):
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
 
-
-def roundtrip_stable(text: str) -> bool:
-    """Parse, serialize canonically, re-parse: must give the same value."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = _load_json(text)
-        if isinstance(obj, dict) and "members" in obj:
-            system = system_from_object(obj)
-            return system_from_object(system_to_object(system)) == system
-        fam = family_from_object(obj)
-        return family_from_object(family_to_object(fam)) == fam
-    fam = parse_family_text(text)
-    return parse_family_text(format_family_text(fam)) == fam

@@ -68,12 +68,6 @@ class LexOrder:
         return cls(tuple(range(n)))
 
 
-def all_lex_orders(n: int):
-    from itertools import permutations
-    for perm in permutations(range(n)):
-        yield LexOrder(perm)
-
-
 class Polynomial:
     """Sparse multivariate polynomial: exponent tuple of n ints >= 0 -> nonzero int or Fraction."""
 

@@ -9,6 +9,7 @@ patterns are supports cut by fresh random masks.
 
 from __future__ import annotations
 
+from .errors import ShatterlabError
 from .families import SetFamily, masks_of_bits
 
 _MASK64 = (1 << 64) - 1
@@ -39,7 +40,9 @@ class SplitMix64:
         return out & ((1 << k) - 1)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection."""
+        """Uniform integer in [0, bound) by rejection; the bound must be at least 1."""
+        if bound < 1:
+            raise ShatterlabError(f"bound {bound} is below 1")
         k = (bound - 1).bit_length() if bound > 1 else 1
         while True:
             r = self.bits(k)

@@ -27,7 +27,7 @@ from .families import (
     full_mask,
     is_antichain,
     masks_of_bits,
-    minimal_non_members,
+    minimal_bits,
     trace_bits,
 )
 
@@ -103,7 +103,7 @@ def decompose(fam: SetFamily) -> SpernerSystem:
         raise NotExtremal(
             f"family shatters {len(shattered)} sets but has {len(fam)} members")
     n, pairs = fam.n, []
-    for s in masks_of_bits(minimal_non_members(n, shattered.bits)):
+    for s in masks_of_bits(minimal_bits(n, shattered.complement().bits)):
         missing = cube_bits(n, full_mask(n) ^ s, 0) & ~trace_bits(n, fam.bits, s)
         if missing.bit_count() != 1:
             raise AmbiguousMissing(

@@ -5,11 +5,12 @@ every pattern) and stay independent of the library's pruned/bitmap paths.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from shatterlab import InfiniteStaircase, Polynomial, SetFamily, SpernerSystem, leading_monomial
+from shatterlab import (InfiniteStaircase, LexOrder, Polynomial, SetFamily, SpernerSystem,
+                        leading_monomial)
 
 
 # -- definitional oracles -------------------------------------------------------
@@ -285,6 +286,11 @@ def reference_family_from_sets(n, sets):
     if len(set(masks)) < len(masks):
         return "duplicate sets in family"
     return tuple(sorted(masks))
+
+
+def lex_orders(n):
+    """Every lex order on n variables."""
+    return [LexOrder(perm) for perm in permutations(range(n))]
 
 
 def minimalize(masks):

@@ -13,7 +13,7 @@ from shatterlab import (
     SplitMix64,
     audit_conjecture,
     augment_anchored,
-    extremality_defect,
+    extremality_defect_by_size,
     extremality_groebner_report,
     intersection_graph,
     LexOrder,
@@ -37,8 +37,8 @@ def test_criterion_1_worked_instance_end_to_end():
     system = SpernerSystem.of(3, EX_MEMBERS)
     fam = system.family()
     down = system.up_complement()
-    assert fam == SetFamily.from_sets(3, [[3], [1, 2], [2, 3], [1, 2, 3]])
-    assert down == SetFamily.from_sets(3, [[], [1], [2], [3]])
+    assert fam == SetFamily.of(3, [0b100, 0b011, 0b110, 0b111])
+    assert down == SetFamily.of(3, [0b000, 0b001, 0b010, 0b100])
     assert len(fam) == 4 and len(down) == 4
     assert fam.is_s_extremal()
     assert fam.shattered_sets() == down
@@ -125,7 +125,7 @@ def test_criterion_6_defect_identity_random():
     for _ in range(10_000):
         n = 1 + rng.below(8)
         system = random_system(rng, n, 6)
-        assert extremality_defect(system) == \
+        assert sum(extremality_defect_by_size(system)) == \
             len(system.up_complement()) - len(system.family())
     report(6, "defect equals the size difference on 10000 random systems")
 

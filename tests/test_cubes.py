@@ -16,7 +16,6 @@ from shatterlab import (
     SpernerSystem,
     augment_anchored,
     classify_graph,
-    extremality_defect,
     extremality_defect_by_size,
     intersection_graph,
     recover_anchor,
@@ -98,34 +97,34 @@ class TestIntersectMany:
 
 class TestDefect:
     def test_example_balances(self):
-        assert extremality_defect(EX_SYSTEM) == 0
+        assert sum(extremality_defect_by_size(EX_SYSTEM)) == 0
         assert extremality_defect_by_size(EX_SYSTEM) == (0, 1, -1)
 
     def test_two_member_gap(self):
         system = SpernerSystem.of(3, [(0b011, 0b001), (0b110, 0b010)])
-        assert extremality_defect(system) == 1
+        assert sum(extremality_defect_by_size(system)) == 1
 
     @given(helpers.anchored_systems())
     def test_anchored_always_zero(self, triple):
         n, supports, anchor = triple
         system = SpernerSystem.from_anchor(n, supports, anchor)
-        assert extremality_defect(system) == 0
+        assert sum(extremality_defect_by_size(system)) == 0
 
     @given(helpers.systems(max_n=8, max_members=6))
     def test_defect_equals_size_difference(self, system):
         down = system.up_complement()
         fam = system.family()
-        assert extremality_defect(system) == len(down) - len(fam)
+        assert sum(extremality_defect_by_size(system)) == len(down) - len(fam)
 
     @given(helpers.systems())
     def test_zero_defect_iff_extremal_with_down_set(self, system):
         fam = system.family()
         shattered = fam.shattered_sets()
-        zero = extremality_defect(system) == 0
+        zero = sum(extremality_defect_by_size(system)) == 0
         assert zero == (len(shattered) == len(fam) and shattered == system.up_complement())
 
     def test_empty_system(self):
-        assert extremality_defect(SpernerSystem.of(3, [])) == 0
+        assert sum(extremality_defect_by_size(SpernerSystem.of(3, []))) == 0
 
     @settings(max_examples=200)
     @given(helpers.systems(max_n=8, max_members=10))

@@ -17,7 +17,7 @@ from shatterlab import (
     augment_anchored,
     decompose,
     extend_patterns,
-    extremality_defect,
+    extremality_defect_by_size,
     intersection_graph,
     peel,
     random_family,
@@ -173,7 +173,7 @@ class TestAugment:
 
     def test_non_extremal_families_rejected(self):
         rng = SplitMix64(7)
-        non_extremal = [SetFamily.from_sets(2, [[], [1, 2]]), EX_FAMILY.with_member(0)]
+        non_extremal = [SetFamily.of(2, [0b00, 0b11]), EX_FAMILY.with_member(0)]
         non_extremal += [SetFamily.of(n, random_family(rng, n)) for n in (4, 6, 8, 10)]
         for fam in non_extremal:
             assert not _definitional_is_extremal(fam.masks, fam.n)
@@ -306,7 +306,7 @@ class TestSmallSystemClaims:
     @settings(max_examples=200)
     @given(helpers.systems(max_members=4))
     def test_small_balanced_systems_have_witnesses(self, system):
-        if len(system.members) <= 4 and extremality_defect(system) == 0:
+        if len(system.members) <= 4 and sum(extremality_defect_by_size(system)) == 0:
             assert uncovered_witness(system) is not None
 
 

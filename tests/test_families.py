@@ -8,22 +8,24 @@ import pytest
 from hypothesis import given
 
 import helpers
-from shatterlab import (SetFamily, ShatterlabError, SplitMix64, SpernerSystem, augment, peel,
-                        random_family)
+from shatterlab import (SetFamily, ShatterlabError, SplitMix64, SpernerSystem, augment,
+                        elements_of_mask, peel, random_antichain, random_family)
 from shatterlab.elimination import _definitional_is_extremal
 from shatterlab.families import (
     cube_bits,
     is_extremal_with,
     masks_of_bits,
-    minimal_non_members,
+    minimal_bits,
 )
-
-# the running 4-member example over [3]: {3}, {1,2}, {2,3}, {1,2,3}
-EX_FAMILY = SetFamily.from_sets(3, [[3], [1, 2], [2, 3], [1, 2, 3]])
+from shatterlab.fileio import family_from_object
 
 
 def masks_of(*sets, n):
-    return SetFamily.from_sets(n, sets)
+    return family_from_object({"n": n, "sets": list(sets)})
+
+
+# the running 4-member example over [3]: {3}, {1,2}, {2,3}, {1,2,3}
+EX_FAMILY = masks_of([3], [1, 2], [2, 3], [1, 2, 3], n=3)
 
 
 class TestConstruction:
@@ -44,10 +46,6 @@ class TestConstruction:
             SetFamily.of(25, [])
         with pytest.raises(ShatterlabError):
             SetFamily.of(-1, [])
-
-    def test_from_sets_rejects_duplicates(self):
-        with pytest.raises(ShatterlabError):
-            SetFamily.from_sets(2, [[1], [1]])
 
     def test_sets_roundtrip(self):
         assert EX_FAMILY.sets() == ((1, 2), (3,), (2, 3), (1, 2, 3))
@@ -76,6 +74,13 @@ class TestConstruction:
                 EX_FAMILY.with_member(mask)
             assert EX_FAMILY.without_member(mask) is EX_FAMILY
         assert EX_FAMILY.without_member(0) is EX_FAMILY
+
+    def test_elements_of_mask_rejects_negative(self):
+        # a negative mask has infinitely many set bits, so decoding it never ended
+        assert elements_of_mask(0b1011) == (1, 2, 4)
+        for mask in (-1, -2, -(1 << 40)):
+            with pytest.raises(ShatterlabError, match="negative"):
+                elements_of_mask(mask)
 
 
 class TestTrace:
@@ -216,6 +221,16 @@ class TestOrderStructure:
 class TestRandomSweeps:
     """Seeded sweeps at the sizes hypothesis does not reach comfortably."""
 
+    def test_below_rejects_bound_below_one(self):
+        # no integer lies in [0, bound) then, so rejection sampling never ended
+        rng = SplitMix64(1)
+        assert {rng.below(1) for _ in range(20)} == {0}
+        for bound in (0, -1, -5):
+            with pytest.raises(ShatterlabError, match="below 1"):
+                rng.below(bound)
+        with pytest.raises(ShatterlabError, match="below 1"):
+            random_antichain(rng, 3, 0)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_sauer_shelah_thousand_families(self, n):
         rng = SplitMix64(0xA5EED + n)
@@ -246,13 +261,12 @@ class TestShatteredSetsAgainstOracles:
     def test_every_family_exhaustive(self, n):
         everything = range(1 << n)
         probes = range(-1, (1 << n) + 1)
-        downs = set()
         for bits in range(1 << (1 << n)):
             masks = tuple(m for m in range(1 << n) if bits >> m & 1)
             fam = SetFamily.of(n, masks)
             shattered = fam.shattered_sets()
             assert shattered.masks == tuple(sorted(helpers.brute_shattered(masks, n)))
-            downs.add(shattered)
+            assert set(masks_of_bits(minimal_bits(n, bits))) == helpers.brute_minimal(masks)
             extremal = _definitional_is_extremal(masks, n)
             assert extremal == helpers.brute_is_extremal(masks, n) == fam.is_s_extremal() \
                 == is_extremal_with(n, bits, shattered.bits)
@@ -263,18 +277,13 @@ class TestShatteredSetsAgainstOracles:
             if n <= 3:
                 for s in everything:
                     assert set(fam.trace(s).masks) == helpers.brute_trace(masks, s)
-        # every down-set is its own Sh, so `downs` holds all of them
-        for down in downs:
-            assert masks_of_bits(minimal_non_members(n, down.bits)) == \
-                tuple(sorted(helpers.brute_minimal(down.complement().masks)))
-        # the certificate against every down-set, and at n <= 2 against every
-        # set of sets: true iff F is extremal with Sh(F) = D
+        # the certificate against every set of sets D, down-set or not: true
+        # iff F is extremal with Sh(F) = D
         if n <= 3:
-            targets = range(1 << (1 << n)) if n <= 2 else [down.bits for down in downs]
             for bits in range(1 << (1 << n)):
                 masks = masks_of_bits(bits)
                 shattered = helpers.brute_shattered(masks, n)
-                for d in targets:
+                for d in range(1 << (1 << n)):
                     expected = shattered == set(masks_of_bits(d)) and len(masks) == d.bit_count()
                     assert is_extremal_with(n, bits, d) == expected
 
@@ -325,7 +334,7 @@ class TestShatteredSetsAgainstOracles:
                 down = g.shattered_sets()
                 assert down.is_down_set()
                 assert all(g.is_shattered(s) for s in down.maximal_elements())
-                assert not any(g.is_shattered(s) for s in masks_of_bits(minimal_non_members(n, down.bits)))
+                assert not any(g.is_shattered(s) for s in down.complement().minimal_elements())
                 extremal = g.is_s_extremal()
                 assert extremal == is_extremal_with(n, g.bits, down.bits)
                 assert g is not base or extremal

@@ -18,7 +18,6 @@ from shatterlab import (
     LexOrder,
     Polynomial,
     SpernerSystem,
-    all_lex_orders,
     is_groebner_basis,
     leading_monomial,
     normal_form,
@@ -62,7 +61,7 @@ def sympy_verdict(basis: list[Polynomial], order: LexOrder) -> bool:
 
 
 def orders_for(n: int):
-    return all_lex_orders(n) if n <= 3 else [LexOrder.standard(n)]
+    return helpers.lex_orders(n) if n <= 3 else [LexOrder.standard(n)]
 
 
 def test_basis_verdict_matches_sympy_on_fixed_systems():

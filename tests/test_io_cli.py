@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from shatterlab import ParseError, SetFamily, SpernerSystem, augment, peel
-from shatterlab.cli import RunConfig, _json, _text, main, run
+from shatterlab.cli import _json, _text, main
 from shatterlab.families import elements_of_mask
 from shatterlab.fileio import (
     certificate_to_object,
@@ -22,7 +22,6 @@ from shatterlab.fileio import (
     parse_family,
     parse_family_text,
     parse_system,
-    roundtrip_stable,
     system_from_object,
     system_to_object,
 )
@@ -52,7 +51,6 @@ class TestFamilyText:
 
     def test_roundtrip(self):
         assert parse_family_text(format_family_text(EX_FAMILY)) == EX_FAMILY
-        assert roundtrip_stable(EX_TEXT)
 
     @pytest.mark.parametrize("bad, match", [
         ("1,2\n", "header"),
@@ -147,7 +145,6 @@ class TestStructuredFormats:
         system = parse_system(EX_SYSTEM_JSON)
         assert system.members == ((0b011, 0b001), (0b101, 0), (0b110, 0))
         assert system_from_object(system_to_object(system)) == system
-        assert roundtrip_stable(EX_SYSTEM_JSON)
 
     def test_system_object_validates(self):
         with pytest.raises(ParseError):
@@ -421,6 +418,11 @@ class TestCli:
         code, _ = run_cli(["audit", "--n", "5", "--count", "50"])
         assert code == 1
 
+    def test_audit_seed_needs_count(self, capsys):
+        # the exhaustive sweep draws nothing, so a seed there would be reported unused
+        assert run_cli(["audit", "--n", "2", "--seed", "1"]) == (1, "")
+        assert capsys.readouterr().err == "error: --count is required with --seed\n"
+
     def test_construct_empty_system_gives_power_set(self):
         code, report = run_cli(["construct"], json.dumps({"n": 2, "members": []}))
         assert code == 0
@@ -483,11 +485,6 @@ class TestCli:
         for _ in range(3):
             for (argv, text), expected in zip(calls, first):
                 assert (run_cli(argv, text), capsys.readouterr()) == expected
-
-    def test_run_config_api(self):
-        config = RunConfig(command="audit", n=2)
-        code, report = run(config)
-        assert code == 0 and "ok: true" in report
 
     def test_module_entry_point(self):
         proc = subprocess.run(
