@@ -9,8 +9,9 @@ Each command builds its report once, as ordered rows ``(key, value)`` that
 `_emit` renders as ``key: value`` lines or as JSON keyed by the row key with
 ``-`` read as ``_``.  Rows with a non-generic text form carry their text lines
 third (``[]``: JSON only); `_text_only` rows stay out of the JSON.  A family
-value is the `SetFamily` itself, written from its bitset as JSON (compact in
-text reports) with one string per member.
+value is the `SetFamily` itself, written from its bitset by
+`fileio.family_json` (compact in text reports); every other value is what
+`json.dumps` writes for it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii
 
 from .cubes import (
     classify_graph,
@@ -31,9 +31,9 @@ from .errors import FullFamily, NotExtremal, ParseError, ShatterlabError
 from .families import SetFamily, elements_of_mask
 from .fileio import (  # noqa: F401 -- the plain-data serializers stay importable here
     certificate_to_object,
+    family_json,
     family_to_object,
     format_family_text,
-    member_texts,
     parse_family,
     parse_system,
     system_to_object,
@@ -55,7 +55,7 @@ def _text(value) -> str:
     if isinstance(value, dict):
         return json.dumps(value)
     if isinstance(value, SetFamily):
-        return _family_json(value)
+        return family_json(value)
     return str(value)
 
 
@@ -63,88 +63,25 @@ def _text_only(key: str, value) -> tuple:
     return None, None, [f"{key}: {_text(value)}"]
 
 
-# how json encodes each scalar type of a report inside a container
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-
-
 def _json(value, indent: str = "\n") -> str:
     """What `json.dumps` writes for `value` with a two-space indent, byte for byte.
 
-    `indent` is the line break and indent that precede `value`.  json runs
-    its pure-Python encoder whenever it indents; here the report scalars
-    are encoded by exact type, a list of exact ints is one join, a family
-    is written from its bitset by `_family_json`, and anything else that is
-    not a container goes through `json.dumps`.
+    `indent` is the line break and indent that precede `value`.  json writes
+    no raw line break inside a string, so giving each of its line breaks that
+    indent moves the whole value to that depth.  A family is written from its
+    bitset by `family_json`.
     """
-    encode = _JSON_SCALARS.get(type(value))
-    if encode is not None:
-        return encode(value)
     if isinstance(value, SetFamily):
-        return _family_json(value, indent)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        # bool is an int subclass and prints as true/false, so exact ints only
-        items = map(str, value) if {*map(type, value)} == {int} else \
-            (_json(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        # a non-str key prints as json prints it in a one-key object
-        return "{" + inner + ("," + inner).join(
-            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4])
-            + ": " + _json(v, inner) for k, v in value.items()) + indent + "}"
-    return json.dumps(value)
-
-
-def _layout(indent: str | None, depth: int) -> tuple[str, str, str]:
-    """What json writes after an opening bracket, between two items and before
-    a closing bracket, in a container `depth` levels inside a value that
-    follows `indent` (None: no indent, json's default separators)."""
-    if indent is None:
-        return "", ", ", ""
-    inner = indent + "  " * (depth + 1)
-    return inner, "," + inner, inner[:-2]
-
-
-def _family_json(fam: SetFamily, indent: str | None = None) -> str:
-    """`json.dumps(family_to_object(fam))` byte for byte, or with a line break
-    and indent `indent` before `fam`, its `indent=2` form.
-
-    Each member is one string from `member_texts`; the brackets between the
-    sets are the separator of one join, and the text around them goes into
-    the first and last string, so the report is copied once.
-    """
-    (open0, sep0, close0), (open1, sep1, close1), (open2, sep2, close2) = (
-        _layout(indent, depth) for depth in range(3))
-    head = "{" + open0 + '"n": ' + str(fam.n) + sep0 + '"sets": ['
-    tail = "]" + close0 + "}"
-    texts = member_texts(fam, sep2)
-    if fam.bits & 1:
-        # json writes the empty set, the first member, as [] at any indent
-        del texts[0]
-        head += open1 + "[]" + (sep1 if texts else close1)
-    elif texts:
-        head += open1
-    if not texts:
-        return head + tail
-    texts[0] = head + "[" + open2 + texts[0]
-    texts[-1] += close2 + "]" + close1 + tail
-    return (close2 + "]" + sep1 + "[" + open2).join(texts)
+        return family_json(value, indent)
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 def _emit(rows: list[tuple], fmt: str) -> str:
     if fmt == "structured":
-        obj = {key.replace("-", "_"): value for key, value, *_ in rows if key is not None}
-        return _json(obj) + "\n"
+        # the report object, one row at a time; every command has a row
+        return "{\n  " + ",\n  ".join(
+            json.dumps(key.replace("-", "_")) + ": " + _json(value, "\n  ")
+            for key, value, *_ in rows if key is not None) + "\n}\n"
     out = []
     for key, value, *text in rows:
         out += text[0] if text else [f"{key}: {_text(value)}"]
@@ -179,7 +116,7 @@ def _cmd_check(args, text):
 def _cmd_decompose(args, text):
     system = decompose(parse_family(text))
     # the interchange encoding doubles as the text report
-    return OK, _json(system_to_object(system)) + "\n"
+    return OK, json.dumps(system_to_object(system), indent=2) + "\n"
 
 
 def _cmd_construct(args, text):

@@ -62,6 +62,8 @@ def successor_members(system: SpernerSystem, index: int) -> tuple[int, ...]:
     up-complement by exactly the chosen support.
     """
     members = system.members
+    if not 0 <= index < len(members):
+        raise EmptyInput(f"member index {index} out of range")
     s0 = members[index][0]
     rest = [s for j, (s, _) in enumerate(members) if j != index]
     out = []
@@ -84,6 +86,7 @@ def extend_patterns(system: SpernerSystem, index: int, witness: int) -> SpernerS
     they split the old cube in the v direction.
     """
     members = system.members
+    candidates = successor_members(system, index)
     s0, h0 = members[index]
     if witness & s0 != h0:
         raise WitnessNotEligible(f"witness {witness} is not in the chosen cube")
@@ -91,7 +94,7 @@ def extend_patterns(system: SpernerSystem, index: int, witness: int) -> SpernerS
         if j != index and witness & sj == hj:
             raise WitnessNotEligible(f"witness {witness} is covered by member {j}")
     pairs = [members[j] for j in range(len(members)) if j != index]
-    for candidate in successor_members(system, index):
+    for candidate in candidates:
         v = candidate & ~s0
         new_h = h0 if witness & v else h0 | v
         if witness & candidate == new_h:
@@ -149,12 +152,10 @@ def augment_anchored(n: int, antichain: list[int], anchor: int, index: int) -> E
     if not antichain:
         raise EmptyInput("antichain has no members")
     system = SpernerSystem.from_anchor(n, antichain, anchor)
-    if not 0 <= index < len(system.members):
-        raise EmptyInput(f"member index {index} out of range")
+    new_supports = list(successor_members(system, index))
     fam = system.family()
     s0 = system.members[index][0]
-    new_supports = [s for j, (s, _) in enumerate(system.members) if j != index]
-    new_supports.extend(successor_members(system, index))
+    new_supports += [s for j, (s, _) in enumerate(system.members) if j != index]
     successor = SpernerSystem.from_anchor(n, new_supports, anchor)
     new_fam = successor.family()
     if len(new_fam) != len(fam) + 1:
@@ -266,6 +267,8 @@ def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None
     """
     check_ground(n)
     if samples is None:
+        if seed is not None:
+            raise ShatterlabError(f"seed {seed} given without a sample count")
         if n > 4:
             raise TooLarge(f"exhaustive audit needs n <= 4, got {n}")
         mode = "exhaustive"

@@ -5,7 +5,8 @@ comma-separated 1-based elements (``-`` for the empty set); ``#`` starts a
 comment line.  Structured formats are JSON: families as ``{"n":, "sets":}``,
 systems as ``{"n":, "members": [{"S":, "H":}]}``, certificates with all four
 fields.  Parsing then serializing then parsing is the identity on canonical
-values.
+values.  Families are the one value big enough to need a JSON writer of
+their own: `family_json` writes what `json.dumps` would, from the bitset.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _object_fields(obj, kind: str, field: str) -> tuple[int, list]:
     return _ground(n), items
 
 
-def member_texts(fam: SetFamily, sep: str) -> list[str]:
+def _member_texts(fam: SetFamily, sep: str) -> list[str]:
     """Each member of `fam`, ascending, as its elements joined by `sep`.
 
     Two lookups in the cached tables of (n, sep), one concatenation and one
@@ -151,10 +152,40 @@ def member_texts(fam: SetFamily, sep: str) -> list[str]:
 
 
 def format_family_text(fam: SetFamily) -> str:
-    lines = member_texts(fam, ",")
+    lines = _member_texts(fam, ",")
     if fam.bits & 1:
         lines[0] = "-"  # the empty set, always the first member
     return "\n".join([f"n={fam.n}", *lines, ""])
+
+
+def family_json(fam: SetFamily, indent: str | None = None) -> str:
+    """`json.dumps(family_to_object(fam))` byte for byte, or with a line break
+    and indent `indent` before `fam`, its `indent=2` form.
+
+    Each member is one string from `_member_texts`; the brackets between the
+    sets are the separator of one join, and the text around them goes into
+    the first and last string, so the report is copied once.
+    """
+    # what json writes after an opening bracket, between two items and before
+    # a closing bracket in the object (depth 0), the sets (1) and a set (2)
+    (open0, sep0, close0), (open1, sep1, close1), (open2, sep2, close2) = (
+        ("", ", ", "") if indent is None else
+        (indent + "  " * (depth + 1), "," + indent + "  " * (depth + 1), indent + "  " * depth)
+        for depth in range(3))
+    head = "{" + open0 + '"n": ' + str(fam.n) + sep0 + '"sets": ['
+    tail = "]" + close0 + "}"
+    texts = _member_texts(fam, sep2)
+    if fam.bits & 1:
+        # json writes the empty set, the first member, as [] at any indent
+        del texts[0]
+        head += open1 + "[]" + (sep1 if texts else close1)
+    elif texts:
+        head += open1
+    if not texts:
+        return head + tail
+    texts[0] = head + "[" + open2 + texts[0]
+    texts[-1] += close2 + "]" + close1 + tail
+    return (close2 + "]" + sep1 + "[" + open2).join(texts)
 
 
 def family_to_object(fam: SetFamily) -> dict:

@@ -111,6 +111,8 @@ def cube_polynomial(n: int, support: int, pattern: int) -> Polynomial:
     all coefficients +-1.  Nonzero at a 0/1 point exactly when the point's set
     meets the support in the pattern.
     """
+    if support >> n:
+        raise ShatterlabError(f"support {support} outside ground set [{n}]")
     if pattern & ~support:
         raise PatternNotInSupport(f"pattern {pattern} not contained in support {support}")
     rest = support & ~pattern

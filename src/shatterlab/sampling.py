@@ -21,7 +21,9 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ShatterlabError(f"splitmix64 seed must be in [0, 2^64), got {seed}")
+        self.state = seed
 
     def next64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64

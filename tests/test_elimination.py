@@ -8,6 +8,7 @@ from shatterlab import (
     EmptyInput,
     NotExtremal,
     SetFamily,
+    ShatterlabError,
     SplitMix64,
     SpernerSystem,
     TooLarge,
@@ -73,6 +74,14 @@ class TestSuccessorMembers:
         system = SpernerSystem.of(3, [(0b111, 0)])
         assert successor_members(system, 0) == ()
 
+    @pytest.mark.parametrize("index", [-1, -2, 2, 5])
+    def test_index_out_of_range(self, index):
+        # a negative index must not wrap around to a member from the end
+        system = SpernerSystem.of(4, [(0b0011, 0), (0b0100, 0)])
+        assert successor_members(system, 1) == (5, 6, 12)
+        with pytest.raises(EmptyInput, match=f"member index {index} out of range"):
+            successor_members(system, index)
+
     @given(helpers.systems())
     def test_postcondition(self, system):
         for index in range(len(system.members)):
@@ -103,6 +112,13 @@ class TestExtendPatterns:
         # {1} sits in the first cube but also in the third
         with pytest.raises(WitnessNotEligible):
             extend_patterns(EX_SYSTEM, 0, 0b001)
+
+    @pytest.mark.parametrize("index", [-3, -1, 3])
+    def test_index_out_of_range(self, index):
+        # -3 is member 0 counted from the end: {1,3} is in its cube, not covered
+        assert extend_patterns(EX_SYSTEM, 0, 0b101).members == ((0b101, 0), (0b110, 0))
+        with pytest.raises(EmptyInput, match=f"member index {index} out of range"):
+            extend_patterns(EX_SYSTEM, index, 0b101)
 
     @given(helpers.systems())
     def test_witness_stays_outside_every_cube(self, system):
@@ -334,6 +350,22 @@ class TestAudit:
     def test_random_mode_needs_seed(self):
         with pytest.raises(EmptyInput):
             audit_conjecture(4, samples=10)
+
+    def test_exhaustive_mode_refuses_seed(self):
+        # the sweep draws nothing, so the report would name a seed it never used
+        with pytest.raises(ShatterlabError, match="seed 1 given without a sample count"):
+            audit_conjecture(2, seed=1)
+        assert audit_conjecture(2, seed=None).seed is None
+
+    @pytest.mark.parametrize("seed", [42 + 2 ** 64, 42 - 2 ** 64, -1, 2 ** 64])
+    def test_seed_outside_64_bits(self, seed):
+        # masking such a seed to 64 bits would draw another seed's families
+        with pytest.raises(ShatterlabError, match=r"seed must be in \[0, 2\^64\)"):
+            audit_conjecture(5, samples=300, seed=seed)
+        with pytest.raises(ShatterlabError, match=r"seed must be in \[0, 2\^64\)"):
+            SplitMix64(seed)
+        assert SplitMix64(2 ** 64 - 1).state == 2 ** 64 - 1
+        assert audit_conjecture(5, samples=3, seed=0).seed == 0
 
     def test_random_mode_deterministic(self):
         a = audit_conjecture(5, samples=200, seed=99)

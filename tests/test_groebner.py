@@ -55,6 +55,12 @@ class TestCubePolynomial:
     def test_single_negative_factor(self):
         assert cube_polynomial(2, 0b01, 0) == poly(2, {(1, 0): 1, (0, 0): -1})
 
+    @pytest.mark.parametrize("support, pattern", [(0b100, 0), (0b110, 0b100), (-1, 0)])
+    def test_support_outside_ground_set(self, support, pattern):
+        # an element beyond n has no variable; dropping it changed the cube
+        with pytest.raises(ShatterlabError, match=rf"support {support} outside ground set \[2\]"):
+            cube_polynomial(2, support, pattern)
+
     @given(helpers.systems(max_n=5))
     def test_term_count_and_unit_coefficients(self, system):
         for s, h in system.members:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from shatterlab import ParseError, SetFamily, SpernerSystem, augment, peel
-from shatterlab.cli import _json, _text, main
+from shatterlab.cli import _emit, _json, _text, main
 from shatterlab.families import elements_of_mask
 from shatterlab.fileio import (
     certificate_to_object,
@@ -192,6 +192,22 @@ class TestJsonWriter:
                 _json(value)
 
 
+# strings with line breaks: json escapes them, so indenting a row value leaves them alone
+_MULTILINE = st.text(alphabet="\n\r\"\\\u00e9 x", max_size=6)
+_ROWS = st.lists(
+    st.tuples(st.text(max_size=4), _REPORT_VALUES | _MULTILINE | st.lists(_MULTILINE, max_size=3)),
+    min_size=1, max_size=5, unique_by=lambda row: row[0].replace("-", "_"))
+
+
+class TestEmit:
+    @given(_ROWS)
+    def test_structured_rows_match_json_dumps(self, rows):
+        # a text-only row (key None) stays out of the JSON
+        want = {key.replace("-", "_"): value for key, value in rows}
+        got = _emit([*rows, (None, None, ["text only"])], "structured")
+        assert got == json.dumps(want, indent=2) + "\n"
+
+
 # every family over [n] for n <= 3, the n = 0 ones included
 ALL_SMALL_FAMILIES = [SetFamily(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
 
@@ -208,10 +224,13 @@ def _families_up_to_12(draw):
 def _check_family_writer(fam):
     """Each rendering the CLI uses is json's byte for byte and parses back to `fam`."""
     obj = family_to_object(fam)
-    compact, top, row = _text(fam), _json(fam), _json({"augmented_family": fam, "x": [fam]})
+    compact, top = _text(fam), _json(fam)
+    row = _emit([("removed-set", [1]), ("augmented-family", fam), ("s-extremal", True)],
+                "structured")
     assert compact == json.dumps(obj)
     assert top == json.dumps(obj, indent=2)
-    assert row == json.dumps({"augmented_family": obj, "x": [obj]}, indent=2)
+    assert row == json.dumps({"removed_set": [1], "augmented_family": obj, "s_extremal": True},
+                             indent=2) + "\n"
     assert parse_family(compact) == parse_family(top) == fam
     assert family_from_object(json.loads(row)["augmented_family"]) == fam
     lines = [",".join(map(str, elems)) or "-" for elems in fam.sets()]
@@ -463,6 +482,12 @@ class TestCli:
     def test_audit_negative_count_exits_1(self, capsys):
         assert run_cli(["audit", "--n", "3", "--count", "-5", "--seed", "1"]) == (1, "")
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-5", str(2 ** 64)])
+    def test_audit_seed_outside_64_bits_exits_1(self, seed, capsys):
+        assert run_cli(["audit", "--n", "3", "--count", "5", "--seed", seed]) == (1, "")
+        err = capsys.readouterr().err
+        assert err == f"error: splitmix64 seed must be in [0, 2^64), got {seed}\n"
 
     def test_audit_random_size_cap_exits_1(self, capsys):
         assert run_cli(["audit", "--n", "11", "--count", "1", "--seed", "1"]) == (1, "")
