@@ -56,7 +56,6 @@ from .groebner import (
     extremality_groebner_report,
     field_equations,
     format_polynomial,
-    integer_matrix_rank,
     is_groebner_basis,
     leading_monomial,
     normal_form,
@@ -65,7 +64,7 @@ from .groebner import (
     standard_monomial_count,
     system_generators,
 )
-from .sampling import SplitMix64, random_antichain, random_family, random_mask, random_system
+from .sampling import SplitMix64, random_antichain, random_family, random_system
 
 # every public name of the namespace except the submodules it imports
 __all__ = [name for name in dir()

@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, itemgetter, le, mul, neg, sub
 
 from .errors import (GroundMismatch, InfiniteStaircase, PatternNotInSupport, ShatterlabError,
-                     TooLarge, ZeroPolynomial)
+                     TooLarge, VerificationFailed, ZeroPolynomial)
 from .families import MAX_GROUND, SetFamily, cube_bits, submasks
 from .sperner import SpernerSystem, _outside_cubes
 
@@ -88,15 +88,6 @@ class Polynomial:
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
-
-    def evaluate_at_mask(self, mask: int):
-        """Value at the 0/1 characteristic vector of `mask`.
-
-        On 0/1 points every positive power collapses to the variable itself,
-        so a monomial contributes iff its support lies inside the mask.
-        """
-        return sum((c for m, c in self.terms.items()
-                    if all(mask >> i & 1 for i, e in enumerate(m) if e)), Fraction(0))
 
     def __repr__(self):
         return f"Polynomial({self.n}, {self.terms!r})"
@@ -279,51 +270,6 @@ def standard_monomial_count(basis: list[Polynomial], order: LexOrder) -> int:
 
 # -- exact linear algebra ------------------------------------------------------
 
-def containment_matrix(row_family: SetFamily, col_family: SetFamily) -> list[list[int]]:
-    """0/1 matrix: entry 1 iff the row set is contained in the column set.
-
-    Rows play the role of squarefree monomials evaluated at the 0/1 points of
-    the columns.
-    """
-    _check_same_ground(row_family, col_family)
-    return [[1 if t & f == t else 0 for f in col_family.masks] for t in row_family.masks]
-
-
-def integer_matrix_rank(matrix: list[list[int]]) -> int:
-    """Exact rank by fraction-free (division-preserving) elimination."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(rank + 1, rows):
-            row_i = m[i]
-            row_r = m[rank]
-            f = row_i[c]
-            if f:
-                for j in range(c + 1, cols):
-                    row_i[j] = (row_r[c] * row_i[j] - f * row_r[j]) // prev
-            else:
-                for j in range(c + 1, cols):
-                    row_i[j] = (row_r[c] * row_i[j]) // prev
-            row_i[c] = 0
-        prev = m[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _check_same_ground(a: SetFamily, b: SetFamily) -> None:
-    if a.n != b.n:
-        raise GroundMismatch(f"families over [{a.n}] and [{b.n}]")
-
-
 def point_evaluation_rank(fam: SetFamily, monomial_sets: SetFamily) -> int:
     """Rank over Q of the matrix of x^T (T in monomial_sets) at the points of fam.
 
@@ -334,14 +280,15 @@ def point_evaluation_rank(fam: SetFamily, monomial_sets: SetFamily) -> int:
     Each XOR clears the row's lowest bit and sets none below it, so the
     lowest bit strictly rises and elimination ends.  The pivot rule does not
     change the GF(2) rank of the rows seen so far, so the rank and the point
-    where it stops are those of any other rule.  The certificate is exact
+    where it stops are those of any other rule.  A full GF(2) rank is exact
     over Q: a minor that is nonzero mod 2 is an odd integer, so the rational
-    rank is at least the GF(2) rank and at most the smaller dimension.  Only
-    when the GF(2) rank falls short is the exact `integer_matrix_rank` run.
+    rank is at least the GF(2) rank and at most the smaller dimension.  When
+    the GF(2) rank falls short, the rational rank is not decided, and the
+    call raises `VerificationFailed` rather than return a smaller number.
 
-    `extremality_groebner_report` never takes that fallback.  There fam is
-    the family F of a Sperner system and monomial_sets its up-complement D,
-    and the matrix has rank |F| over every field, GF(2) included.  Each cube
+    `extremality_groebner_report` never raises here.  There fam is the
+    family F of a Sperner system and monomial_sets its up-complement D, and
+    the matrix has rank |F| over every field, GF(2) included.  Each cube
     polynomial is monic with leading monomial x^S under every monomial
     order and vanishes on F; the field equations x_i^2 - x_i are monic too.
     Division by monic polynomials needs no inverse, so over any field the
@@ -350,7 +297,8 @@ def point_evaluation_rank(fam: SetFamily, monomial_sets: SetFamily) -> int:
     monomials are x^T with T in D.  So the rows span all functions on F,
     |F| <= |D|, and the GF(2) rank reaches the minimum |F|.
     """
-    _check_same_ground(fam, monomial_sets)
+    if fam.n != monomial_sets.n:
+        raise GroundMismatch(f"families over [{fam.n}] and [{monomial_sets.n}]")
     full = min(len(fam), len(monomial_sets))
     pivots: dict[int, int] = {}
     for t in monomial_sets.masks:
@@ -364,9 +312,10 @@ def point_evaluation_rank(fam: SetFamily, monomial_sets: SetFamily) -> int:
                 pivots[low] = row
                 break
             row ^= pivot
-    if len(pivots) == full:
-        return full
-    return integer_matrix_rank(containment_matrix(monomial_sets, fam))
+    if len(pivots) < full:
+        raise VerificationFailed(f"GF(2) rank {len(pivots)} falls short of {full}; "
+                                 f"the rational rank is not decided")
+    return full
 
 
 # -- the equivalence report ----------------------------------------------------

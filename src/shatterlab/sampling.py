@@ -52,10 +52,6 @@ class SplitMix64:
                 return r
 
 
-def random_mask(rng: SplitMix64, n: int) -> int:
-    return rng.bits(n) if n else 0
-
-
 def random_family(rng: SplitMix64, n: int) -> tuple[int, ...]:
     """Masks of a random family: one inclusion bit per subset of [n]."""
     return masks_of_bits(rng.bits(1 << n))
@@ -64,7 +60,7 @@ def random_family(rng: SplitMix64, n: int) -> tuple[int, ...]:
 def random_antichain(rng: SplitMix64, n: int, max_members: int) -> tuple[int, ...]:
     """Minimal elements of 1..max_members uniform masks (ascending, deduplicated)."""
     count = 1 + rng.below(max_members)
-    drawn = [random_mask(rng, n) for _ in range(count)]
+    drawn = [rng.bits(n) for _ in range(count)]
     return SetFamily.of(n, drawn).minimal_elements().masks
 
 
@@ -72,5 +68,5 @@ def random_system(rng: SplitMix64, n: int, max_members: int):
     """A random antichain with an independent random pattern per member."""
     from .sperner import SpernerSystem
     supports = random_antichain(rng, n, max_members)
-    pairs = [(s, s & random_mask(rng, n)) for s in supports]
+    pairs = [(s, s & rng.bits(n)) for s in supports]
     return SpernerSystem.of(n, pairs)

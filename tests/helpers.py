@@ -209,6 +209,37 @@ def reference_is_groebner_basis(basis, order):
     return True
 
 
+def evaluate_at_mask(p, mask):
+    """Value of polynomial p at the 0/1 characteristic vector of `mask`.
+
+    On 0/1 points every positive power collapses to the variable itself,
+    so a monomial contributes iff its support lies inside the mask.
+    """
+    return sum((c for m, c in p.terms.items()
+                if all(mask >> i & 1 for i, e in enumerate(m) if e)), Fraction(0))
+
+
+def containment_matrix(rows, cols):
+    """0/1 matrix over two SetFamilys: entry 1 iff the row set lies inside the column set."""
+    return [[1 if t & f == t else 0 for f in cols.masks] for t in rows.masks]
+
+
+def gf2_rank(matrix):
+    """Plain Gaussian elimination mod 2 on 0/1 lists (rank oracle over GF(2))."""
+    m = [[x % 2 for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def fraction_rank(matrix):
     """Plain Gaussian elimination over stdlib fractions (rank oracle)."""
     m = [[Fraction(x) for x in row] for row in matrix]

@@ -18,7 +18,6 @@ from shatterlab import (
     intersection_graph,
     LexOrder,
     random_antichain,
-    random_mask,
     random_system,
     recover_anchor,
     uncovered_witness,
@@ -89,7 +88,7 @@ def test_criterion_4_anchored_extension_always_verified():
     for _ in range(1_000):
         n = 1 + rng.below(8)
         supports = random_antichain(rng, n, 5)
-        anchor = random_mask(rng, n)
+        anchor = rng.bits(n)
         index = rng.below(len(supports))
         base = SpernerSystem.from_anchor(n, supports, anchor).family()
         cert = augment_anchored(n, list(supports), anchor, index)
@@ -175,7 +174,7 @@ def test_criterion_8_small_system_claims():
         supports = random_antichain(rng, 4, 4)
         if len(supports) != 4:
             continue
-        pairs = [(s, s & random_mask(rng, 4)) for s in supports]
+        pairs = [(s, s & rng.bits(4)) for s in supports]
         _check_claims(SpernerSystem.of(4, pairs))
         sampled += 1
     report(8, f"claims held on {count} exhaustive small systems "

@@ -6,10 +6,11 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from shatterlab import (SetFamily, ShatterlabError, SplitMix64, SpernerSystem, augment,
-                        elements_of_mask, peel, random_antichain, random_family)
+                        elements_of_mask, is_antichain, peel, random_antichain, random_family)
 from shatterlab.elimination import _definitional_is_extremal
 from shatterlab.families import (
     cube_bits,
@@ -216,6 +217,17 @@ class TestOrderStructure:
         for i, a in enumerate(mins):
             for b in mins[i + 1:]:
                 assert a & b != a and a & b != b
+
+    def test_is_antichain_superset_before_subset(self):
+        # ascending lists reach only the first clause of the pairwise test
+        assert not is_antichain([0b011, 0b001])
+        assert not is_antichain([0b001, 0b011])
+
+    @given(st.lists(st.integers(0, 15), max_size=6))
+    def test_is_antichain_matches_brute_minimal(self, masks):
+        # in any member order: distinct masks that are all minimal
+        want = len(set(masks)) == len(masks) and helpers.brute_minimal(masks) == set(masks)
+        assert is_antichain(masks) == want
 
 
 class TestRandomSweeps:

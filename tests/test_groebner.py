@@ -18,12 +18,12 @@ from shatterlab import (
     ShatterlabError,
     SpernerSystem,
     TooLarge,
+    VerificationFailed,
     ZeroPolynomial,
     cube_polynomial,
     extremality_groebner_report,
     field_equations,
     format_polynomial,
-    integer_matrix_rank,
     is_groebner_basis,
     leading_monomial,
     normal_form,
@@ -33,8 +33,6 @@ from shatterlab import (
     submasks,
     system_generators,
 )
-from shatterlab import groebner
-from shatterlab.groebner import containment_matrix
 
 EX_SYSTEM = SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0), (0b110, 0)])
 LEX = LexOrder.standard(3)
@@ -74,7 +72,7 @@ class TestCubePolynomial:
             for h in submasks(s):
                 p = cube_polynomial(n, s, h)
                 for f in range(1 << n):
-                    nonzero = p.evaluate_at_mask(f) != 0
+                    nonzero = helpers.evaluate_at_mask(p, f) != 0
                     assert nonzero == (f & s == h)
 
 
@@ -170,7 +168,7 @@ class TestNormalForm:
             p = poly(3, terms)
             r = normal_form(p, basis, LEX)
             for f in fam:
-                assert p.evaluate_at_mask(f) == r.evaluate_at_mask(f)
+                assert helpers.evaluate_at_mask(p, f) == helpers.evaluate_at_mask(r, f)
 
 
     @pytest.mark.parametrize("n", [4, 2])
@@ -378,6 +376,16 @@ class TestStandardMonomialsAgainstBox:
             standard_monomial_count(field_equations(25), LexOrder.standard(25))
 
 
+def assert_rank_or_raises(fam, monomial_sets):
+    """The rank is the rational one, and the call raises iff the GF(2) rank falls short."""
+    matrix = helpers.containment_matrix(monomial_sets, fam)
+    if helpers.gf2_rank(matrix) < min(len(fam), len(monomial_sets)):
+        with pytest.raises(VerificationFailed, match="falls short"):
+            point_evaluation_rank(fam, monomial_sets)
+    else:
+        assert point_evaluation_rank(fam, monomial_sets) == helpers.fraction_rank(matrix)
+
+
 class TestRank:
     def test_example_square_matrix(self):
         points = SetFamily.of(3, [0b011, 0b100, 0b110, 0b111])
@@ -398,8 +406,7 @@ class TestRank:
                  for bits in range(1 << (1 << n))]
         for rows in every:
             for cols in every:
-                want = helpers.fraction_rank(containment_matrix(rows, cols))
-                assert point_evaluation_rank(cols, rows) == want
+                assert_rank_or_raises(cols, rows)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -408,22 +415,16 @@ class TestRank:
         masks = st.frozensets(st.integers(0, (1 << n) - 1), max_size=12)
         rows = SetFamily.of(n, data.draw(masks))
         cols = SetFamily.of(n, data.draw(masks))
-        want = helpers.fraction_rank(containment_matrix(rows, cols))
-        assert point_evaluation_rank(cols, rows) == want
+        assert_rank_or_raises(cols, rows)
 
-    def test_gf2_deficient_matrix_takes_exact_fallback(self, monkeypatch):
+    def test_gf2_deficient_matrix_raises(self):
         # rows {1},{2},{3} against columns {1,2},{1,3},{2,3}: determinant -2,
-        # so rank 2 over GF(2) but 3 over Q
+        # so rank 2 over GF(2) but 3 over Q; 2 would understate the rank
         rows = SetFamily.of(3, [0b001, 0b010, 0b100])
         cols = SetFamily.of(3, [0b011, 0b101, 0b110])
-        calls = []
-
-        def spy(matrix):
-            calls.append(matrix)
-            return integer_matrix_rank(matrix)
-        monkeypatch.setattr(groebner, "integer_matrix_rank", spy)
-        assert point_evaluation_rank(cols, rows) == 3
-        assert calls == [[[1, 1, 0], [1, 0, 1], [0, 1, 1]]]
+        assert helpers.containment_matrix(rows, cols) == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+        with pytest.raises(VerificationFailed, match=r"GF\(2\) rank 2 falls short of 3"):
+            point_evaluation_rank(cols, rows)
 
     def test_refuses_mismatched_ground_sets(self):
         # mask 0b100 lies outside [2]; it must not be read as a set over [2]
@@ -433,14 +434,6 @@ class TestRank:
             point_evaluation_rank(fam, monomials)
         with pytest.raises(GroundMismatch):
             point_evaluation_rank(monomials, fam)
-        with pytest.raises(GroundMismatch):
-            containment_matrix(monomials, fam)
-
-    @given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=5))
-    def test_bareiss_matches_fraction_gauss(self, rows):
-        width = len(rows[0])
-        matrix = [row[:width] + [0] * (width - len(row)) for row in rows]
-        assert integer_matrix_rank(matrix) == helpers.fraction_rank(matrix)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_extremal_families_have_full_rank_exhaustive(self, n):
@@ -482,11 +475,9 @@ class TestReport:
         assert report.counting_equal and report.groebner and report.equivalence_holds
         assert report.standard_monomials == 0 and report.evaluation_rank == 0
 
-    def test_rank_never_needs_exact_fallback(self, monkeypatch):
-        # the docstring's theorem: report matrices have full rank |F| over GF(2)
-        def refuse(matrix):
-            raise AssertionError("exact rank fallback was taken")
-        monkeypatch.setattr(groebner, "integer_matrix_rank", refuse)
+    def test_report_rank_never_falls_short(self):
+        # the docstring's theorem: report matrices have full rank |F| over GF(2),
+        # so the rank never raises VerificationFailed on a report pair
         systems = [SpernerSystem.of(n, list(zip(supports, patterns)))
                    for n in range(4)
                    for supports in helpers.all_small_antichains(n, 3)
