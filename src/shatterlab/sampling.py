@@ -10,7 +10,7 @@ patterns are supports cut by fresh random masks.
 from __future__ import annotations
 
 from .errors import ShatterlabError
-from .families import SetFamily, masks_of_bits
+from .families import SetFamily
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,9 +52,9 @@ class SplitMix64:
                 return r
 
 
-def random_family(rng: SplitMix64, n: int) -> tuple[int, ...]:
-    """Masks of a random family: one inclusion bit per subset of [n]."""
-    return masks_of_bits(rng.bits(1 << n))
+def random_family(rng: SplitMix64, n: int) -> SetFamily:
+    """A random family over [n]: one inclusion bit per subset of [n]."""
+    return SetFamily(n, rng.bits(1 << n))
 
 
 def random_antichain(rng: SplitMix64, n: int, max_members: int) -> tuple[int, ...]:

@@ -61,7 +61,7 @@ def test_criterion_2_exhaustive_extension_audit():
         assert rep.disagreements == 0
         assert rep.ok
         totals[n] = rep.extremal_families
-    assert totals[2] == 13 and totals[3] == 127
+    assert totals[2] == 13 and totals[3] == 127 and totals[4] == 5529
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     report(2, f"audits n=2,3,4 clean over {totals} extremal families ({elapsed:.1f}s)")

@@ -12,6 +12,7 @@ from shatterlab import (
     SplitMix64,
     SpernerSystem,
     TooLarge,
+    VerificationFailed,
     WitnessNotEligible,
     audit_conjecture,
     augment,
@@ -21,12 +22,13 @@ from shatterlab import (
     extremality_defect_by_size,
     intersection_graph,
     peel,
+    random_antichain,
     random_family,
     successor_members,
     uncovered_witness,
 )
-from shatterlab import families
-from shatterlab.elimination import _definitional_is_extremal
+from shatterlab import elimination, families
+from shatterlab.elimination import _brute_addable_exists, _definitional_is_extremal
 
 EX_SYSTEM = SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0), (0b110, 0)])
 EX_FAMILY = EX_SYSTEM.family()
@@ -190,9 +192,9 @@ class TestAugment:
     def test_non_extremal_families_rejected(self):
         rng = SplitMix64(7)
         non_extremal = [SetFamily.of(2, [0b00, 0b11]), EX_FAMILY.with_member(0)]
-        non_extremal += [SetFamily.of(n, random_family(rng, n)) for n in (4, 6, 8, 10)]
+        non_extremal += [random_family(rng, n) for n in (4, 6, 8, 10)]
         for fam in non_extremal:
-            assert not _definitional_is_extremal(fam.masks, fam.n)
+            assert not _definitional_is_extremal(fam.bits, fam.n)
             assert not fam.is_s_extremal()
 
     @given(helpers.systems())
@@ -366,6 +368,61 @@ class TestAudit:
             SplitMix64(seed)
         assert SplitMix64(2 ** 64 - 1).state == 2 ** 64 - 1
         assert audit_conjecture(5, samples=3, seed=0).seed == 0
+
+    def test_oracle_independent_of_library_kernels(self, monkeypatch):
+        # the audit's oracle is the anchor the kernels are checked against, so
+        # it decides from its own table even when every kernel refuses to run
+        rng = SplitMix64(0x0AC1E)
+        cases = [(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+        for n, draws in ((5, 20), (6, 10), (7, 5)):
+            cases += [(n, random_family(rng, n).bits) for _ in range(draws)]
+            supports = random_antichain(rng, n, 4)
+            extremal = SpernerSystem.from_anchor(n, supports, rng.bits(n)).family()
+            cases += [(n, extremal.bits), (n, extremal.complement().bits)]
+        expected = []
+        for n, bits in cases:
+            masks = tuple(m for m in range(1 << n) if bits >> m & 1)
+            expected.append((helpers.brute_is_extremal(masks, n),
+                             bool(helpers.brute_addable(masks, n))))
+        # the anchored families and their complements are extremal
+        assert sum(e for (n, _), (e, _) in zip(cases, expected) if n >= 5) >= 6
+
+        def refuse(*args):
+            raise AssertionError("the oracle called a library kernel")
+        for module in (families, elimination):
+            for name in ("cube_bits", "trace_bits", "minimal_bits", "_shattered_bits"):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(SetFamily, "shattered_sets", refuse)
+        elimination._pattern_cubes.cache_clear()
+        got = [(_definitional_is_extremal(bits, n), _brute_addable_exists(bits, n))
+               for n, bits in cases]
+        assert got == expected
+
+    # the families with bitsets 0-4 over [3], all extremal: the first five
+    # failures when every extremal family fails, each recorded once
+    FIRST_EXTREMAL_N3 = ((), (0,), (1,), (0, 1), (2,))
+
+    def test_missing_witness_tallies(self, monkeypatch):
+        # no extremal family gets a witness, while brute force finds an
+        # addable set for each: both tallies count all 127
+        monkeypatch.setattr(elimination, "augment", lambda system: None)
+        report = audit_conjecture(3)
+        assert report.extremal_families == 127
+        assert report.missing_witness == report.disagreements == 127
+        assert report.brute_failures == report.machinery_failures == 0
+        assert not report.ok
+        assert report.counterexamples == self.FIRST_EXTREMAL_N3
+
+    def test_machinery_failure_tallies(self, monkeypatch):
+        def fail(system):
+            raise VerificationFailed("forced")
+        monkeypatch.setattr(elimination, "augment", fail)
+        report = audit_conjecture(3)
+        assert report.machinery_failures == 127
+        assert report.missing_witness == report.disagreements == report.brute_failures == 0
+        assert not report.ok
+        assert report.counterexamples == self.FIRST_EXTREMAL_N3
 
     def test_random_mode_deterministic(self):
         a = audit_conjecture(5, samples=200, seed=99)

@@ -247,15 +247,14 @@ class TestRandomSweeps:
     def test_sauer_shelah_thousand_families(self, n):
         rng = SplitMix64(0xA5EED + n)
         for _ in range(1000):
-            masks = random_family(rng, n)
-            fam = SetFamily.of(n, masks)
+            fam = random_family(rng, n)
             assert len(fam.shattered_sets()) >= len(fam)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complement_duality_random(self, n):
         rng = SplitMix64(0xD0A1 + n)
         for _ in range(200):
-            fam = SetFamily.of(n, random_family(rng, n))
+            fam = random_family(rng, n)
             assert fam.is_s_extremal() == fam.complement().is_s_extremal()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -279,7 +278,7 @@ class TestShatteredSetsAgainstOracles:
             shattered = fam.shattered_sets()
             assert shattered.masks == tuple(sorted(helpers.brute_shattered(masks, n)))
             assert set(masks_of_bits(minimal_bits(n, bits))) == helpers.brute_minimal(masks)
-            extremal = _definitional_is_extremal(masks, n)
+            extremal = _definitional_is_extremal(bits, n)
             assert extremal == helpers.brute_is_extremal(masks, n) == fam.is_s_extremal() \
                 == is_extremal_with(n, bits, shattered.bits)
             assert fam.is_down_set() == helpers.brute_is_down_set(masks, n)
@@ -317,13 +316,13 @@ class TestShatteredSetsAgainstOracles:
         for _ in range(2):
             fam = _anchored_extremal(rng, n)
             for base in (fam, fam.complement()):
-                assert _definitional_is_extremal(base.masks, n)
+                assert _definitional_is_extremal(base.bits, n)
                 outside = base.complement().masks
                 edits = (base.without_member(base.masks[rng.below(len(base))]),
                          base.with_member(outside[rng.below(len(outside))]))
                 for g in (base, *edits):
                     assert set(g.shattered_sets().masks) == helpers.brute_shattered(g.masks, n)
-                    extremal = _definitional_is_extremal(g.masks, n)
+                    extremal = _definitional_is_extremal(g.bits, n)
                     assert g.is_s_extremal() == extremal
                     not_extremal += not extremal
         assert not_extremal > 0
