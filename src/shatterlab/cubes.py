@@ -6,7 +6,8 @@ intersection is then the cube on the union support with the union
 pattern.  Summing signed cube sizes over the non-clique index sets
 measures how far a system is from extremal: the defect equals
 |up-complement| - |family| and vanishes exactly when the
-system's family is extremal with the full candidate down-set shattered.
+system's family is extremal with the full candidate down-set shattered
+(the counting lemma proved in `SpernerSystem`).
 It is counted from cover histograms of the cube bitsets, so it enumerates
 no index sets and has no member cap.
 """
@@ -144,7 +145,8 @@ def recover_anchor(system: SpernerSystem) -> int:
     """Anchor set reproducing every pattern by intersection; complete graph required.
 
     This is the paper's anchored case: a complete intersection graph yields
-    an anchor, and then every member can be extended (`augment_anchored`).
+    an anchor, and then every member can be extended: `augment_anchored`
+    runs `augment`'s step on a witness read off the anchor, no search.
     The anchor is the union A of all patterns: each S_i & A is the union of
     the S_i & H_j = S_j & H_i, all inside H_i, and H_i itself, so it is H_i.
     That is verified for each member before returning.  In

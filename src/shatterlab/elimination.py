@@ -6,12 +6,15 @@ minimal supersets that keep the antichain property, and give each new support
 the unique pattern choice that keeps the witness uncovered.  The successor
 system's family is the old family plus the witness, and it is extremal again.
 Peeling removes a set instead, by running the same step on the complement.
+Anchored systems (`augment_anchored`) run the same step on a witness known
+without a search.
 
 Every certificate is verified before it is returned: the pattern-extension
-step is the subtlest part, so nothing is trusted.  `augment` checks
-extremality by the antichain criterion (`families.is_extremal_with`), a
-theorem rather than a heuristic, so its checks are complete without
-computing Sh(F); `peel` checks it with `SetFamily.is_s_extremal`.
+step is the subtlest part, so nothing is trusted.  The step checks a
+system's family for extremality by counting, |F| = |D| with D the
+up-complement (proved in `SpernerSystem`), so its checks are complete
+without computing Sh(F); `peel` checks its result with
+`SetFamily.is_s_extremal`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cache
 
 from .errors import (EmptyInput, NotExtremal, ShatterlabError, TooLarge, VerificationFailed,
                      WitnessNotEligible)
-from .families import SetFamily, check_ground, cube_bits, full_mask, is_extremal_with
+from .families import SetFamily, check_ground, cube_bits, full_mask
 from .sperner import SpernerSystem, decompose
 from .sampling import SplitMix64, random_family
 
@@ -40,19 +43,31 @@ def uncovered_witness(system: SpernerSystem) -> tuple[int, int] | None:
     """First member (canonical order) whose cube escapes the union of the others.
 
     Returns (member index, smallest escaping mask), or None when every cube is
-    covered by the rest.  Scanning order makes certificates reproducible.
+    covered by the rest.  A cube escapes the others exactly on its points
+    covered once, which one fold collects.  Scanning order makes
+    certificates reproducible.
     """
     members = system.members
     if not members:
         raise EmptyInput("system has no members")
     cubes = [cube_bits(system.n, s, h) for s, h in members]
-    for i, escaping in enumerate(cubes):
-        for j, other in enumerate(cubes):
-            if j != i:
-                escaping &= ~other
+    once = twice = 0
+    for cube in cubes:
+        twice |= once & cube
+        once |= cube
+    once ^= twice   # twice lies inside once
+    for i, cube in enumerate(cubes):
+        escaping = cube & once
         if escaping:
             return i, (escaping & -escaping).bit_length() - 1
     return None
+
+
+def _member(system: SpernerSystem, index: int) -> tuple[int, int]:
+    """The member at `index`; a negative index is refused, not counted from the end."""
+    if not 0 <= index < len(system.members):
+        raise EmptyInput(f"member index {index} out of range")
+    return system.members[index]
 
 
 def successor_members(system: SpernerSystem, index: int) -> tuple[int, ...]:
@@ -61,11 +76,8 @@ def successor_members(system: SpernerSystem, index: int) -> tuple[int, ...]:
     Replacing the chosen member by these keeps an antichain and grows the
     up-complement by exactly the chosen support.
     """
-    members = system.members
-    if not 0 <= index < len(members):
-        raise EmptyInput(f"member index {index} out of range")
-    s0 = members[index][0]
-    rest = [s for j, (s, _) in enumerate(members) if j != index]
+    s0 = _member(system, index)[0]
+    rest = [s for j, (s, _) in enumerate(system.members) if j != index]
     out = []
     free = full_mask(system.n) & ~s0
     while free:
@@ -107,68 +119,58 @@ def augment(system: SpernerSystem) -> EliminationCertificate | None:
     """Run one verified extension step, or return None when no witness exists.
 
     The input system must produce an extremal family whose shattered sets are
-    exactly the up-complement (checked).  The returned certificate has been
-    re-verified: successor down-set, family growth by exactly the witness,
-    and extremality of the result with the successor down-set.  Both
-    extremality checks are the antichain criterion of `is_extremal_with`,
-    which proves Sh(F) = D without computing Sh(F).
+    exactly the up-complement, that is |F| = |D| (checked; proved in
+    `SpernerSystem`).  The witness is the first one `uncovered_witness`
+    finds, and the certificate is re-verified by `_verified_step`.
     """
     fam, down = system.family(), system.up_complement()
-    if not is_extremal_with(system.n, fam.bits, down.bits):
+    if len(fam) != len(down):
         raise NotExtremal("system family is not extremal with the full candidate down-set")
     found = uncovered_witness(system)
     if found is None:
         return None
-    index, witness = found
-    s0 = system.members[index][0]
-    successor = extend_patterns(system, index, witness)
-    new_fam = successor.family()
-    new_down = successor.up_complement()
-    if new_down.bits != down.bits | 1 << s0:
-        raise VerificationFailed("successor down-set is not the old one plus the chosen support")
-    if new_fam.bits != fam.bits | 1 << witness:
-        raise VerificationFailed("successor family is not the old one plus the witness")
-    if not is_extremal_with(system.n, new_fam.bits, new_down.bits):
-        raise VerificationFailed("augmented family is not extremal with the successor down-set")
-    return EliminationCertificate(
-        chosen_member=s0,
-        added_set=witness,
-        successor=successor,
-        augmented_family=new_fam,
-    )
+    return _verified_step(system, fam, down, *found)
 
 
 def augment_anchored(n: int, antichain: list[int], anchor: int, index: int) -> EliminationCertificate:
     """Extension step for anchored systems; succeeds for every member choice.
 
     This is the paper's anchored case: a complete intersection graph yields
-    an anchor (`recover_anchor`), and then every member can be extended.
-    The successor keeps the anchor assignment (each pattern is support cut by
-    the anchor), so no witness search is needed: the family grows by exactly
-    one set regardless of which member is replaced.  In `test_acceptance.py`,
-    `test_criterion_4_*` verifies 1000 such steps and `_check_claims` the
-    anchor of every complete small system.
+    an anchor A (`recover_anchor`), and then `augment`'s step extends any
+    member (S0, H0) by the witness w = H0 | ([n] - S0 - A), found unsearched:
+    - w lies in the cube (S0, H0);
+    - each other support has an element outside S0, where w and A disagree,
+      so w is in no other cube;
+    - XOR with A maps the family onto the up-set of the antichain's
+      transversals, so it is extremal with Sh(F) the up-complement.
+    `test_criterion_4_*` in `test_acceptance.py` verifies 1000 such steps.
     """
     if not antichain:
         raise EmptyInput("antichain has no members")
     system = SpernerSystem.from_anchor(n, antichain, anchor)
-    new_supports = list(successor_members(system, index))
-    fam = system.family()
+    s0, h0 = _member(system, index)
+    witness = h0 | full_mask(n) & ~s0 & ~anchor
+    return _verified_step(system, system.family(), system.up_complement(), index, witness)
+
+
+def _verified_step(system: SpernerSystem, fam: SetFamily, down: SetFamily,
+                   index: int, witness: int) -> EliminationCertificate:
+    """Extend member `index` by `witness`, verifying the result.
+
+    Checks the successor down-set, family growth by exactly the witness, and
+    extremality with the new down-set, by counting.
+    """
+    successor = extend_patterns(system, index, witness)
     s0 = system.members[index][0]
-    new_supports += [s for j, (s, _) in enumerate(system.members) if j != index]
-    successor = SpernerSystem.from_anchor(n, new_supports, anchor)
-    new_fam = successor.family()
-    if len(new_fam) != len(fam) + 1:
-        raise VerificationFailed("anchored successor family did not grow by exactly one set")
-    added = new_fam.bits & ~fam.bits
-    if added.bit_count() != 1:
-        raise VerificationFailed("anchored successor family is not a superset of the old family")
-    return EliminationCertificate(
-        chosen_member=s0,
-        added_set=added.bit_length() - 1,
-        successor=successor,
-        augmented_family=new_fam,
-    )
+    new_fam, new_down = successor.family(), successor.up_complement()
+    if new_down.bits != down.bits | 1 << s0:
+        raise VerificationFailed("successor down-set is not the old one plus the chosen support")
+    if new_fam.bits != fam.bits | 1 << witness:
+        raise VerificationFailed("successor family is not the old one plus the witness")
+    if len(new_fam) != len(new_down):
+        raise VerificationFailed("augmented family is not extremal with the successor down-set")
+    return EliminationCertificate(chosen_member=s0, added_set=witness,
+                                  successor=successor, augmented_family=new_fam)
 
 
 def peel(fam: SetFamily) -> int | None:

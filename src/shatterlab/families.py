@@ -6,8 +6,10 @@ element i is in the subset.  Elements are 1-based in all I/O, bit positions
 is a member; every set operation works on it, and its ascending mask tuple
 `masks` is decoded only on first use, for output.  Other modules use that
 encoding through `cube_bits`, `trace_bits`, `minimal_bits`,
-`is_extremal_with`, `masks_of_bits`, `add_member` and `SetFamily(n, bits)`;
-`half_tables` decodes masks for output.
+`masks_of_bits`, `add_member` and `SetFamily(n, bits)`; `half_tables`
+decodes masks for output.  Extremality is |Sh(F)| = |F| here; a Sperner
+system's family needs no Sh(F): it is extremal with Sh(F) the system's
+up-complement iff the two have equal size (`SpernerSystem`).
 """
 
 from __future__ import annotations
@@ -137,27 +139,6 @@ def minimal_bits(n: int, bits: int) -> int:
     return bits & ~above
 
 
-def _shatters(n: int, bits: int, s: int) -> bool:
-    """True iff the family with bitset `bits` shatters s: its trace on s has 2^|s| sets."""
-    return trace_bits(n, bits, s).bit_count() == 1 << s.bit_count()
-
-
-def is_extremal_with(n: int, bits: int, down: int) -> bool:
-    """True iff the family F with bitset `bits` is extremal with Sh(F) = D, D = `down`.
-
-    The certificate is |D| = |F| and F shatters none of the minimal sets
-    of D's complement (`minimal_bits`): one trace each, no Sh(F).
-    Sufficient: a set outside D contains a minimal set outside D, and a
-    subset of a shattered set is shattered, so Sh(F) lies in D; with
-    Pajor's bound |Sh(F)| >= |F|, |F| <= |Sh(F)| <= |D| = |F|, so
-    Sh(F) = D.  Necessary: if Sh(F) = D, no set outside D is shattered.
-    D need not be a down-set.  This is a theorem, not a heuristic.
-    """
-    outside = down ^ (1 << (1 << n)) - 1
-    return down.bit_count() == bits.bit_count() and not any(
-        _shatters(n, bits, s) for s in masks_of_bits(minimal_bits(n, outside)))
-
-
 def member_bytes(n: int) -> bytearray:
     """The empty family over [n] as little-endian bytes, for `add_member`."""
     check_ground(n)
@@ -258,7 +239,7 @@ class SetFamily:
     def is_shattered(self, s: int) -> bool:
         """True iff every subset of s arises as a trace member."""
         self._check_mask(s)
-        return _shatters(self.n, self.bits, s)
+        return trace_bits(self.n, self.bits, s).bit_count() == 1 << s.bit_count()
 
     def shattered_sets(self) -> "SetFamily":
         """All sets shattered by the family (a down-set); see `_shattered_bits`."""

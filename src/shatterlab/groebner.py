@@ -338,7 +338,10 @@ class GroebnerReport:
 
 
 def extremality_groebner_report(system: SpernerSystem, order: LexOrder) -> GroebnerReport:
-    """Three independent routes to extremality: counting, basis test, point rank."""
+    """Three independent routes to extremality: counting, basis test, point rank.
+
+    Counting, |F| = |D|, holds iff F is extremal with Sh(F) = D (`SpernerSystem`).
+    """
     if system.n > MAX_REPORT_GROUND:
         raise TooLarge(f"ground set {system.n} exceeds cap {MAX_REPORT_GROUND}")
     if len(system.members) > MAX_REPORT_MEMBERS:

@@ -34,7 +34,15 @@ from .families import (
 
 @dataclass(frozen=True)
 class SpernerSystem:
-    """An antichain with one pattern per member, in canonical (support-ascending) order."""
+    """An antichain with one pattern per member, in canonical (support-ascending) order.
+
+    The family F is extremal with Sh(F) = D, D the up-complement, iff
+    |F| = |D|:
+    - a set with trace H on S lies in the cube (S, H), so F shatters no
+      support, hence no superset of one, and Sh(F) lies in D;
+    - Pajor's bound then gives |F| <= |Sh(F)| <= |D|.
+    F can be extremal with Sh(F) smaller than D: |F| < |D| then.
+    """
 
     n: int
     members: tuple[tuple[int, int], ...]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from shatterlab import (InfiniteStaircase, LexOrder, Polynomial, SetFamily, SpernerSystem,
                         leading_monomial)
+from shatterlab.families import masks_of_bits, minimal_bits
 
 
 # -- definitional oracles -------------------------------------------------------
@@ -100,6 +101,23 @@ def brute_witnesses(n, pairs):
             if all(f & sj != hj for j, (sj, hj) in enumerate(pairs) if j != i):
                 out.append((i, f))
     return out
+
+
+def is_extremal_with(n, bits, down):
+    """True iff the family F with bitset `bits` is extremal with Sh(F) = D, D = `down`.
+
+    A certificate on library kernels, for an arbitrary set of sets D, and
+    checked against the brute-force oracles: |D| = |F| and F shatters none
+    of the minimal sets outside D, one trace each, no Sh(F).  Sufficient:
+    a set outside D contains a minimal set outside D, and a subset of a
+    shattered set is shattered, so Sh(F) lies in D; with Pajor's bound,
+    |F| <= |Sh(F)| <= |D| = |F|, so Sh(F) = D.  Necessary: if Sh(F) = D, no
+    set outside D is shattered.
+    """
+    fam = SetFamily(n, bits)
+    outside = down ^ (1 << (1 << n)) - 1
+    return down.bit_count() == bits.bit_count() and not any(
+        fam.is_shattered(s) for s in masks_of_bits(minimal_bits(n, outside)))
 
 
 def brute_defect_by_size(system):

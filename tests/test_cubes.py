@@ -21,7 +21,7 @@ from shatterlab import (
     recover_anchor,
     submasks,
 )
-from shatterlab.families import cube_bits, is_extremal_with, masks_of_bits
+from shatterlab.families import cube_bits, masks_of_bits
 
 EX_SYSTEM = SpernerSystem.of(3, [(0b011, 0b001), (0b101, 0), (0b110, 0)])
 EX_FAMILY = EX_SYSTEM.family()
@@ -260,12 +260,12 @@ class TestRecoverAnchor:
 
 
 class TestAntichainExtremality:
-    """F is extremal with Sh(F) the antichain's up-complement: `is_extremal_with`."""
+    """F is extremal with Sh(F) the antichain's up-complement: `helpers.is_extremal_with`."""
 
     @staticmethod
     def extremal_with_up_complement(fam, antichain):
         down = SpernerSystem.of(fam.n, [(s, 0) for s in antichain]).up_complement()
-        return is_extremal_with(fam.n, fam.bits, down.bits)
+        return helpers.is_extremal_with(fam.n, fam.bits, down.bits)
 
     def test_example_family(self):
         assert self.extremal_with_up_complement(EX_FAMILY, [0b011, 0b101, 0b110])

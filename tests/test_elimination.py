@@ -173,7 +173,7 @@ class TestAugment:
         assert len(cert.augmented_family) == len(system.family()) + 1
 
     def test_certificates_never_compute_shattered_sets(self, monkeypatch):
-        # augment's checks are decided by the antichain criterion alone: they
+        # augment's checks are decided by counting |F| = |D| alone: they
         # never enumerate Sh(F), not even on a rejection
         def refuse(*args):
             raise AssertionError("Sh(F) was computed")
@@ -232,6 +232,14 @@ class TestAugmentAnchored:
                 base = SpernerSystem.from_anchor(3, supports, anchor).family()
                 assert len(cert.augmented_family) == len(base) + 1
                 assert set(base.masks) < set(cert.augmented_family.masks)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_out_of_range(self, index):
+        # the witness is read from the chosen member: -1 must not wrap to the last one
+        supports = [0b011, 0b101, 0b110]
+        assert augment_anchored(3, supports, 0b001, 2).chosen_member == 0b110
+        with pytest.raises(EmptyInput, match=f"member index {index} out of range"):
+            augment_anchored(3, supports, 0b001, index)
 
     def test_empty_anchor_succeeds(self):
         cert = augment_anchored(3, [0b011, 0b110], 0, 1)

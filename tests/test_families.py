@@ -12,12 +12,7 @@ import helpers
 from shatterlab import (SetFamily, ShatterlabError, SplitMix64, SpernerSystem, augment,
                         elements_of_mask, is_antichain, peel, random_antichain, random_family)
 from shatterlab.elimination import _definitional_is_extremal
-from shatterlab.families import (
-    cube_bits,
-    is_extremal_with,
-    masks_of_bits,
-    minimal_bits,
-)
+from shatterlab.families import cube_bits, masks_of_bits, minimal_bits
 from shatterlab.fileio import family_from_object
 
 
@@ -280,7 +275,7 @@ class TestShatteredSetsAgainstOracles:
             assert set(masks_of_bits(minimal_bits(n, bits))) == helpers.brute_minimal(masks)
             extremal = _definitional_is_extremal(bits, n)
             assert extremal == helpers.brute_is_extremal(masks, n) == fam.is_s_extremal() \
-                == is_extremal_with(n, bits, shattered.bits)
+                == helpers.is_extremal_with(n, bits, shattered.bits)
             assert fam.is_down_set() == helpers.brute_is_down_set(masks, n)
             assert fam.is_up_set() == helpers.brute_is_up_set(masks, n)
             assert fam.complement().masks == tuple(sorted(set(everything).difference(masks)))
@@ -296,7 +291,7 @@ class TestShatteredSetsAgainstOracles:
                 shattered = helpers.brute_shattered(masks, n)
                 for d in range(1 << (1 << n)):
                     expected = shattered == set(masks_of_bits(d)) and len(masks) == d.bit_count()
-                    assert is_extremal_with(n, bits, d) == expected
+                    assert helpers.is_extremal_with(n, bits, d) == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_cube_bits_exhaustive(self, n):
@@ -347,7 +342,7 @@ class TestShatteredSetsAgainstOracles:
                 assert all(g.is_shattered(s) for s in down.maximal_elements())
                 assert not any(g.is_shattered(s) for s in down.complement().minimal_elements())
                 extremal = g.is_s_extremal()
-                assert extremal == is_extremal_with(n, g.bits, down.bits)
+                assert extremal == helpers.is_extremal_with(n, g.bits, down.bits)
                 assert g is not base or extremal
                 not_extremal += not extremal
         assert not_extremal > 0

@@ -234,17 +234,22 @@ class TestDecompose:
 
 
 class TestCountingEquivalence:
-    """Size equality holds exactly when the family is extremal with the full down-set."""
+    """Size equality holds exactly when the family is extremal with the full down-set.
+
+    The lemma of `SpernerSystem`: the family shatters none of its supports.
+    """
 
     @given(helpers.systems())
     def test_random(self, system):
         fam = system.family()
         down = system.up_complement()
+        assert not any(fam.is_shattered(s) for s in system.supports())
         shattered = fam.shattered_sets()
         assert set(shattered.masks) <= set(down.masks)
         equal = len(fam) == len(down)
         extremal_with_down = len(shattered) == len(fam) and shattered == down
         assert equal == extremal_with_down
+        assert equal <= fam.is_s_extremal()
 
     @settings(max_examples=50)
     @given(helpers.systems(max_n=4, max_members=3))
@@ -254,11 +259,21 @@ class TestCountingEquivalence:
         assert all(s in down for s in shattered)
 
     def test_exhaustive_small(self):
-        for supports in helpers.all_small_antichains(3, 2):
-            for patterns in helpers.all_pattern_assignments(supports):
-                system = SpernerSystem.of(3, list(zip(supports, patterns)))
-                fam = system.family()
-                down = system.up_complement()
-                shattered = fam.shattered_sets()
-                equal = len(fam) == len(down)
-                assert equal == (len(shattered) == len(fam) and shattered == down)
+        # every system at n <= 3, the empty one included; the converse of
+        # `equal <= extremal` fails, e.g. on (S, H) = ({1,2}, {}), ({1,3}, {1}):
+        # its family {2}, {1,3}, {2,3}, {1,2,3} shatters {}, {1}, {2}, {3}
+        # only, but {2,3} lies in the up-complement too
+        extremal_below_down = 0
+        for n in range(4):
+            for supports in [(), *helpers.all_small_antichains(n, 1 << n)]:
+                for patterns in helpers.all_pattern_assignments(supports):
+                    system = SpernerSystem.of(n, list(zip(supports, patterns)))
+                    fam = system.family()
+                    down = system.up_complement()
+                    assert not any(helpers.brute_is_shattered(fam.masks, n, s) for s in supports)
+                    shattered = fam.shattered_sets()
+                    equal = len(fam) == len(down)
+                    assert equal == (len(shattered) == len(fam) and shattered == down)
+                    assert equal <= fam.is_s_extremal()
+                    extremal_below_down += fam.is_s_extremal() and not equal
+        assert extremal_below_down == 48
