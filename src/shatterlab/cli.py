@@ -247,9 +247,9 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors must exit 1, not argparse's default 2
+    # usage errors end in one error line and exit 1, not argparse's usage and exit 2
     def error(self, message):
-        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -259,10 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shatterlab",
                      description="Construct, verify, and search shattering-extremal set systems.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
+    for name, (_, reads_input, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", dest="input_path", default=None,
-                       help="input file (default: standard input)")
+        if reads_input:
+            p.add_argument("--input", dest="input_path", default=None,
+                           help="input file (default: standard input)")
         p.add_argument("--format", choices=["text", "structured"], default="text")
         if name == "groebner":
             p.add_argument("--order", default=None,

@@ -209,7 +209,7 @@ class AuditReport:
     extremal_families: int
     brute_failures: int            # extremal proper family with no addable set at all
     missing_witness: int           # decomposition had no uncovered witness
-    machinery_failures: int        # witness existed but the extension step failed
+    machinery_failures: int        # decompose or the extension step raised or failed to verify
     disagreements: int             # witness existence vs brute-force addability mismatch
     counterexamples: tuple[tuple[int, ...], ...]   # first five offending families
 
@@ -267,9 +267,10 @@ def _audit_one(fam: SetFamily) -> tuple[bool, bool, bool]:
     """(brute addable, witness found, machinery verified) for one extremal family."""
     brute_ok = _brute_addable_exists(fam.bits, fam.n)
     try:
-        # augment raises VerificationFailed only after it has found a witness
         certificate = augment(decompose(fam))
-    except VerificationFailed:
+    except ShatterlabError:
+        # the oracle confirmed the family extremal, so any library error is
+        # a failure of the machinery, tallied as such, not a missing witness
         return brute_ok, True, False
     if certificate is None:
         return brute_ok, False, False

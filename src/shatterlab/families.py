@@ -6,8 +6,8 @@ element i is in the subset.  Elements are 1-based in all I/O, bit positions
 is a member; every set operation works on it, and its ascending mask tuple
 `masks` is decoded only on first use, for output.  Other modules use that
 encoding through `cube_bits`, `trace_bits`, `minimal_bits`,
-`masks_of_bits`, `add_member` and `SetFamily(n, bits)`; `half_tables`
-decodes masks for output.  Extremality is |Sh(F)| = |F| here; a Sperner
+`masks_of_bits`, `add_member` and `SetFamily(n, bits)`; element text is
+written by `fileio`.  Extremality is |Sh(F)| = |F| here; a Sperner
 system's family needs no Sh(F): it is extremal with Sh(F) the system's
 up-complement iff the two have equal size (`SpernerSystem`).
 """
@@ -43,25 +43,6 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
-
-
-@cache
-def half_tables(n: int, sep: str | None = None) -> tuple[int, tuple, tuple]:
-    """Decode tables for the masks over [n], split at h = n // 2.
-
-    Returns (h, low, high): `low[m & (2^h - 1)] + high[m >> h]` is
-    `elements_of_mask(m)`; with a separator `sep` it is the string that
-    writes each element of m after `sep`.
-    """
-    h = n // 2
-    if sep is not None:
-        _, low, high = half_tables(n)
-        def text(table):
-            return tuple("".join(f"{sep}{e}" for e in elems) for elems in table)
-        return h, text(low), text(high)
-    low = tuple(map(elements_of_mask, range(1 << h)))
-    high = tuple(tuple(e + h for e in elements_of_mask(m)) for m in range(1 << (n - h)))
-    return h, low, high
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -211,12 +192,6 @@ class SetFamily:
 
     def __contains__(self, mask: int) -> bool:
         return mask >= 0 and self.bits >> mask & 1 == 1
-
-    def sets(self) -> tuple[tuple[int, ...], ...]:
-        """Members as 1-based element tuples, canonical order."""
-        h, low, high = half_tables(self.n)
-        below = (1 << h) - 1
-        return tuple([low[m & below] + high[m >> h] for m in self.masks])
 
     def is_full(self) -> bool:
         return self.bits.bit_count() == 1 << self.n

@@ -7,6 +7,8 @@ systems as ``{"n":, "members": [{"S":, "H":}]}``, certificates with all four
 fields.  Parsing then serializing then parsing is the identity on canonical
 values.  Families are the one value big enough to need a JSON writer of
 their own: `family_json` writes what `json.dumps` would, from the bitset.
+This module is the one place that turns a family's masks into element
+text: the writers share the cached member tables of `_half_texts`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .families import (
     add_member,
     check_ground,
     elements_of_mask,
-    half_tables,
     member_bytes,
 )
 from .sperner import SpernerSystem
@@ -140,13 +141,29 @@ def _object_fields(obj, kind: str, field: str) -> tuple[int, list]:
     return _ground(n), items
 
 
+@cache
+def _half_texts(n: int, sep: str) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
+    """Text tables for the masks over [n], split at h = n // 2, built on first use.
+
+    Returns (h, low, high): `low[m & (2^h - 1)] + high[m >> h]` writes each
+    element of the mask m after `sep`, ascending.
+    """
+    h = n // 2
+
+    def table(bits: int, offset: int) -> tuple[str, ...]:
+        return tuple("".join(f"{sep}{e + offset}" for e in elements_of_mask(m))
+                     for m in range(1 << bits))
+
+    return h, table(h, 0), table(n - h, h)
+
+
 def _member_texts(fam: SetFamily, sep: str) -> list[str]:
     """Each member of `fam`, ascending, as its elements joined by `sep`.
 
     Two lookups in the cached tables of (n, sep), one concatenation and one
     slice per member; no element tuple or list is built.
     """
-    h, low, high = half_tables(fam.n, sep)
+    h, low, high = _half_texts(fam.n, sep)
     below, skip = (1 << h) - 1, len(sep)
     return [(low[m & below] + high[m >> h])[skip:] for m in fam.masks]
 
@@ -189,7 +206,7 @@ def family_json(fam: SetFamily, indent: str | None = None) -> str:
 
 
 def family_to_object(fam: SetFamily) -> dict:
-    return {"n": fam.n, "sets": [list(elems) for elems in fam.sets()]}
+    return {"n": fam.n, "sets": [list(elements_of_mask(m)) for m in fam.masks]}
 
 
 def family_from_object(obj) -> SetFamily:

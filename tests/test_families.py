@@ -43,9 +43,6 @@ class TestConstruction:
         with pytest.raises(ShatterlabError):
             SetFamily.of(-1, [])
 
-    def test_sets_roundtrip(self):
-        assert EX_FAMILY.sets() == ((1, 2), (3,), (2, 3), (1, 2, 3))
-
     def test_from_bits_keeps_bits(self):
         fam = SetFamily(3, 0b10011001)
         assert fam == SetFamily.of(3, (0, 3, 4, 7)) and fam.bits == 0b10011001

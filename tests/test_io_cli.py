@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from shatterlab import ParseError, SetFamily, SpernerSystem, augment, peel
+from shatterlab import AmbiguousMissing, ParseError, SetFamily, SpernerSystem, augment, peel
+from shatterlab import elimination
 from shatterlab.cli import _emit, _json, _text, main
 from shatterlab.families import elements_of_mask
 from shatterlab.fileio import (
@@ -233,7 +234,8 @@ def _check_family_writer(fam):
                              indent=2) + "\n"
     assert parse_family(compact) == parse_family(top) == fam
     assert family_from_object(json.loads(row)["augmented_family"]) == fam
-    lines = [",".join(map(str, elems)) or "-" for elems in fam.sets()]
+    # the expected lines come from elements_of_mask, not from the writer's tables
+    lines = [",".join(map(str, elements_of_mask(m))) or "-" for m in fam.masks]
     assert format_family_text(fam) == "\n".join([f"n={fam.n}", *lines, ""])
     assert parse_family_text(format_family_text(fam)) == fam
 
@@ -493,9 +495,36 @@ class TestCli:
         assert run_cli(["audit", "--n", "11", "--count", "1", "--seed", "1"]) == (1, "")
         assert capsys.readouterr().err == "error: random audit needs n <= 10, got 11\n"
 
-    def test_usage_error_exits_1(self):
-        assert run_cli(["definitely-not-a-command"])[0] == 1
-        assert run_cli([])[0] == 1
+    def test_usage_error_exits_1(self, capsys):
+        # one error line with argparse's reason, no usage
+        for argv, reason in [
+            ([], "the following arguments are required: command"),
+            (["definitely-not-a-command"], "argument command: invalid choice: "),
+            (["audit"], "the following arguments are required: --n"),
+            (["check", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+            # audit reads no input, so it has no --input to ignore
+            (["audit", "--n", "2", "--input", "/nonexistent/file"],
+             "unrecognized arguments: --input /nonexistent/file"),
+        ]:
+            assert run_cli(argv, EX_TEXT) == (1, "")
+            err = capsys.readouterr().err
+            assert err.startswith("error: " + reason) and err.count("\n") == 1
+
+    def test_audit_tallies_library_errors(self, monkeypatch):
+        # a library error on one extremal family is a machinery failure of that
+        # family; the audit goes on and reports it
+        def decompose(fam):
+            if fam.bits == 0b0111:
+                raise AmbiguousMissing("injected")
+            return real(fam)
+        real = elimination.decompose
+        monkeypatch.setattr(elimination, "decompose", decompose)
+        code, report = run_cli(["audit", "--n", "2", "--format", "structured"])
+        report = json.loads(report)
+        assert code == 2 and report["machinery_failures"] == 1
+        assert report["counterexamples"] == [[0, 1, 2]] and report["ok"] is False
+        assert report["missing_witness"] == report["disagreements"] == 0
+        assert report["families_examined"] == 16
 
     def test_repeated_main_calls_agree(self, capsys):
         # the parser is built once and shared by every call in the process
